@@ -7,10 +7,8 @@
      dune exec bench/main.exe table2     -- Table 2 (false-negative study)
      dune exec bench/main.exe table3     -- Table 3 (DEvA comparison)
      dune exec bench/main.exe timing     -- §8.8 phase split + Bechamel
-     dune exec bench/main.exe perf       -- cold/warm/reference batches (BENCH_9.json)
-     dune exec bench/main.exe serve      -- daemon throughput/latency (BENCH_6.json)
-     dune exec bench/main.exe crash      -- supervision + kill/resume (BENCH_7.json)
      dune exec bench/main.exe ablation   -- design-choice ablations
+     dune exec bench/main.exe extension  -- §9 no-sleep / energy bugs
 
    Expected shapes (not absolute numbers — see DESIGN.md §2) are quoted
    from the paper next to each output. *)
@@ -26,28 +24,19 @@ module Cache = Nadroid_core.Cache
 module Clock = Nadroid_clock.Clock
 
 (* Corpus batch through the analysis cache (crash-isolated, like
-   {!Corpus.analyze_all}); results are cache entries. The batch runs on
-   the same streaming scheduler as the uncached path — frontend and
-   analysis pipelined through one set of worker slots, with one
-   batch-shared interning table for the misses. [max_bytes] caps the
-   cache directory across the batch (LRU eviction after stores). *)
-let analyze_all_cached ?config ?max_bytes ~jobs ~dir (apps : Corpus.app list) :
+   {!Corpus.analyze_all}); results are cache entries. The misses share
+   one batch interning table. [max_bytes] caps the cache directory
+   across the batch (LRU eviction after stores). *)
+let analyze_all_cached ?max_bytes ~jobs ~dir (apps : Corpus.app list) :
     (Corpus.app * (Cache.entry * Cache.outcome, Fault.t) result) list =
   ignore (Lazy.force Nadroid_lang.Builtins.program);
   let interner = Pipeline.create_interner () in
-  let arr = Array.of_list apps in
-  let out = Array.make (Array.length arr) None in
-  Nadroid_core.Parallel.stream ~jobs ~n:(Array.length arr)
-    (fun i ->
-      Cache.analyze ?config ?max_bytes ~interner ~dir ~file:arr.(i).Corpus.name
-        arr.(i).Corpus.source)
-    (fun i r -> out.(i) <- Some r);
-  List.mapi
-    (fun i app ->
-      match out.(i) with
-      | Some r -> (app, Result.map_error Fault.of_exn r)
-      | None -> assert false)
-    apps
+  List.combine apps
+    (List.map (Result.map_error Fault.of_exn)
+       (Nadroid_core.Parallel.map_result ~jobs
+          (fun (a : Corpus.app) ->
+            Cache.analyze ?max_bytes ~interner ~dir ~file:a.Corpus.name a.Corpus.source)
+          apps))
 
 (* ---------------------------------------------------------------- *)
 (* Table 1                                                            *)
@@ -420,313 +409,6 @@ let timing ~jobs ~json ~cache ~cache_max_bytes () =
   end
 
 (* ---------------------------------------------------------------- *)
-(* perf: cold vs warm vs reference                                    *)
-(* ---------------------------------------------------------------- *)
-
-(* Clear a scratch cache directory. Only entries the cache itself writes
-   ([*.cache] and orphaned [.tmp.*] files) are removed — a foreign file
-   or subdirectory is left alone rather than faulting the whole bench
-   run, and the rmdir then simply doesn't happen. Removals tolerate
-   races with concurrent evictors/writers. *)
-let rm_cache_dir dir =
-  if Sys.file_exists dir then begin
-    (match Sys.readdir dir with
-    | exception Sys_error _ -> ()
-    | names ->
-        Array.iter
-          (fun f ->
-            if Filename.check_suffix f ".cache" || String.length f >= 5 && String.sub f 0 5 = ".tmp."
-            then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-          names);
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  end
-
-let bench_json_file = "BENCH_9.json"
-
-(* Three timed full-corpus batches: cold (worklist solver, empty cache
-   dir), warm (same dir — every analysis a cache hit) and reference
-   (the snapshot re-iterate-all solver, uncached). Under --json the
-   document also lands in BENCH_9.json. *)
-let perf ~jobs ~json ~cache_dir ~cache_max_bytes () =
-  let apps = Lazy.force Corpus.all in
-  let dir = Filename.concat cache_dir (Printf.sprintf "perf.%d" (Unix.getpid ())) in
-  rm_cache_dir dir;
-  let cached_batch what =
-    let t0 = Clock.now () in
-    let rs =
-      Eval.keep_ok ~what ~name:Eval.app_name
-        (analyze_all_cached ?max_bytes:cache_max_bytes ~jobs ~dir apps)
-    in
-    (rs, Clock.now () -. t0)
-  in
-  let cold_raw, cold_elapsed = cached_batch "perf-cold" in
-  let warm_raw, warm_elapsed = cached_batch "perf-warm" in
-  let ref_config =
-    { Pipeline.default_config with Pipeline.solver = Nadroid_analysis.Pta.Reference }
-  in
-  let t0 = Clock.now () in
-  let reference =
-    List.map
-      (fun (app, t) -> (app, Cache.entry_of_result t))
-      (Eval.keep_ok ~what:"perf-reference" ~name:Eval.app_name
-         (Corpus.analyze_all ~config:ref_config ~jobs apps))
-  in
-  let ref_elapsed = Clock.now () -. t0 in
-  rm_cache_dir dir;
-  let cold = List.map (fun (app, (e, _)) -> (app, e)) cold_raw in
-  let warm_hits =
-    List.length (List.filter (fun (_, (_, o)) -> o = Cache.Hit) warm_raw)
-  in
-  let sums entries =
-    List.fold_left
-      (fun (w, v, s) ((_ : Corpus.app), (e : Cache.entry)) ->
-        ( w +. e.Cache.e_metrics.Pipeline.m_wall,
-          v + e.Cache.e_metrics.Pipeline.m_pta_visits,
-          s + e.Cache.e_metrics.Pipeline.m_pta_steps ))
-      (0.0, 0, 0) entries
-  in
-  let cold_wall, cold_visits, cold_steps = sums cold in
-  let ref_wall, ref_visits, ref_steps = sums reference in
-  let cold_frontend =
-    List.fold_left
-      (fun acc ((_ : Corpus.app), (e : Cache.entry)) ->
-        acc +. Pipeline.frontend_sum e.Cache.e_metrics)
-      0.0 cold
-  in
-  let speedup a b = if b > 0.0 then a /. b else 0.0 in
-  let find_ref (app : Corpus.app) =
-    List.find_opt (fun ((a : Corpus.app), _) -> String.equal a.Corpus.name app.Corpus.name)
-      reference
-  in
-  if json then begin
-    let buf = Buffer.create 8192 in
-    Buffer.add_string buf (Printf.sprintf "{\"jobs\":%d,\"apps\":[" jobs);
-    List.iteri
-      (fun i ((app : Corpus.app), (e : Cache.entry)) ->
-        if i > 0 then Buffer.add_char buf ',';
-        let rw, rv, rs =
-          match find_ref app with
-          | Some (_, r) ->
-              ( r.Cache.e_metrics.Pipeline.m_wall,
-                r.Cache.e_metrics.Pipeline.m_pta_visits,
-                r.Cache.e_metrics.Pipeline.m_pta_steps )
-          | None -> (0.0, 0, 0)
-        in
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\":%S,\"cold_wall\":%.6f,\"frontend\":%.6f,\"ref_wall\":%.6f,\"pta_visits\":%d,\"pta_visits_ref\":%d,\"pta_steps\":%d,\"pta_steps_ref\":%d}"
-             app.Corpus.name e.Cache.e_metrics.Pipeline.m_wall
-             (Pipeline.frontend_sum e.Cache.e_metrics) rw
-             e.Cache.e_metrics.Pipeline.m_pta_visits rv
-             e.Cache.e_metrics.Pipeline.m_pta_steps rs))
-      cold;
-    Buffer.add_string buf
-      (Printf.sprintf
-         "],\"totals\":{\"apps\":%d,\"warm_hits\":%d,\"cold_elapsed\":%.6f,\"warm_elapsed\":%.6f,\"reference_elapsed\":%.6f,\"cold_wall\":%.6f,\"cold_frontend\":%.6f,\"reference_wall\":%.6f,\"speedup_cold_vs_reference\":%.3f,\"speedup_warm_vs_cold\":%.1f,\"pta_visits\":%d,\"pta_visits_ref\":%d,\"pta_steps\":%d,\"pta_steps_ref\":%d}}"
-         (List.length cold) warm_hits cold_elapsed warm_elapsed ref_elapsed cold_wall
-         cold_frontend ref_wall
-         (speedup ref_elapsed cold_elapsed)
-         (speedup cold_elapsed warm_elapsed)
-         cold_visits ref_visits cold_steps ref_steps);
-    let doc = Buffer.contents buf in
-    let oc = open_out_bin bench_json_file in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc doc);
-    print_endline doc
-  end
-  else begin
-    Eval.section
-      "Performance: cold (worklist + cache fill) vs warm (cache hits) vs reference solver";
-    let rows =
-      List.map
-        (fun ((app : Corpus.app), (e : Cache.entry)) ->
-          let rw, rv, rs =
-            match find_ref app with
-            | Some (_, r) ->
-                ( r.Cache.e_metrics.Pipeline.m_wall,
-                  r.Cache.e_metrics.Pipeline.m_pta_visits,
-                  r.Cache.e_metrics.Pipeline.m_pta_steps )
-            | None -> (0.0, 0, 0)
-          in
-          [
-            app.Corpus.name;
-            Printf.sprintf "%.4f" e.Cache.e_metrics.Pipeline.m_wall;
-            Printf.sprintf "%.4f" rw;
-            string_of_int e.Cache.e_metrics.Pipeline.m_pta_visits;
-            string_of_int rv;
-            string_of_int e.Cache.e_metrics.Pipeline.m_pta_steps;
-            string_of_int rs;
-          ])
-        cold
-    in
-    Eval.print_table
-      ~header:[ "app"; "cold s"; "ref s"; "visits"; "visits-ref"; "steps"; "steps-ref" ]
-      rows;
-    Printf.printf
-      "\nBatch elapsed (%d job%s): cold %.3f s, warm %.3f s (%d/%d hits), reference %.3f s.\n"
-      jobs (if jobs = 1 then "" else "s")
-      cold_elapsed warm_elapsed warm_hits (List.length cold) ref_elapsed;
-    Printf.printf
-      "Speedups: cold vs reference %.2fx (PTA visits %d -> %d, steps %d -> %d); warm vs cold %.0fx.\n"
-      (speedup ref_elapsed cold_elapsed)
-      ref_visits cold_visits ref_steps cold_steps
-      (speedup cold_elapsed warm_elapsed)
-  end
-
-(* ---------------------------------------------------------------- *)
-(* serve: daemon throughput and latency                               *)
-(* ---------------------------------------------------------------- *)
-
-let bench6_json_file = "BENCH_6.json"
-
-(* Nearest-rank percentile over a sorted array. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (p *. float_of_int (n - 1) +. 0.5)))
-
-(* Spawn a `nadroid serve` daemon (fork + in-process Server.run — forked
-   BEFORE any client domain exists, so the child is single-domain), then
-   drive [clients] concurrent connections over the corpus, [rounds]
-   requests per app in total. Every response is compared byte-for-byte
-   against the output the cold CLI would print for that app — the
-   daemon's warm state must never show through. Emits sustained req/s
-   and p50/p99 latency; under --json the document also lands in
-   BENCH_6.json. Fails (exit 1) on any response mismatch or a daemon
-   that does not exit 0 after the graceful shutdown. *)
-let serve_bench ~jobs ~json ~clients ~rounds () =
-  let module Server = Nadroid_serve.Server in
-  let module Protocol = Nadroid_serve.Protocol in
-  let module Client = Nadroid_serve.Client in
-  let apps = Array.of_list (Lazy.force Corpus.all) in
-  let napps = Array.length apps in
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "nadroid-bench-%d.sock" (Unix.getpid ()))
-  in
-  (try Unix.unlink sock with Unix.Unix_error _ -> ());
-  flush stdout;
-  flush stderr;
-  match Unix.fork () with
-  | 0 ->
-      (* child: the daemon. _exit, not exit — at_exit in the forked
-         image would replay the parent's buffered output *)
-      (try
-         Server.run
-           ~config:
-             {
-               Server.default_config with
-               Server.jobs = Some jobs;
-               quiet = true;
-               install_signals = false;
-             }
-           (`Unix sock)
-       with _ -> Unix._exit 1);
-      Unix._exit 0
-  | daemon_pid ->
-      (* expected responses: exactly the daemon's own rendering path,
-         run cold in this process while the daemon boots *)
-      let expected =
-        Array.of_list
-          (Nadroid_core.Parallel.map ~jobs
-             (fun (app : Corpus.app) ->
-               Protocol.analyze_response ~name:app.Corpus.name
-                 (Fault.wrap (fun () ->
-                      Cache.entry_of_result
-                        (Pipeline.analyze ~file:app.Corpus.name app.Corpus.source))))
-             (Array.to_list apps))
-      in
-      let request_of (app : Corpus.app) =
-        Protocol.render_analyze
-          {
-            Protocol.a_path = None;
-            a_source = Some app.Corpus.source;
-            a_file = Some app.Corpus.name;
-            a_k = None;
-            a_sound_only = false;
-            a_deadline = None;
-            a_budget_pta = None;
-            a_budget_tuples = None;
-            a_budget_explorer = None;
-            a_cache = None;
-          }
-      in
-      let total = rounds * napps in
-      let counter = Atomic.make 0 in
-      let t0 = Clock.now () in
-      let worker () =
-        let c = Client.connect (`Unix sock) in
-        let lats = ref [] and mismatches = ref 0 in
-        let rec loop () =
-          let i = Atomic.fetch_and_add counter 1 in
-          if i < total then begin
-            let app = apps.(i mod napps) in
-            let s = Clock.now () in
-            let response = Client.request c (request_of app) in
-            lats := (Clock.now () -. s) :: !lats;
-            if not (String.equal response expected.(i mod napps)) then begin
-              incr mismatches;
-              Printf.eprintf "serve-bench: response for %s differs from cold run\n"
-                app.Corpus.name
-            end;
-            loop ()
-          end
-        in
-        loop ();
-        Client.close c;
-        (!lats, !mismatches)
-      in
-      let domains = List.init clients (fun _ -> Domain.spawn worker) in
-      let per_client = List.map Domain.join domains in
-      let elapsed = Clock.now () -. t0 in
-      let lats =
-        Array.of_list (List.concat_map (fun (ls, _) -> ls) per_client)
-      in
-      let mismatches = List.fold_left (fun a (_, m) -> a + m) 0 per_client in
-      Array.sort compare lats;
-      (* graceful shutdown, then insist the daemon exits 0 *)
-      let c = Client.connect (`Unix sock) in
-      let shutdown_ack = Client.request c Protocol.shutdown_request in
-      Client.close c;
-      let daemon_exit =
-        match Unix.waitpid [] daemon_pid with
-        | _, Unix.WEXITED n -> n
-        | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) -> 128 + n
-      in
-      let rps = if elapsed > 0.0 then float_of_int total /. elapsed else 0.0 in
-      let p50 = percentile lats 0.50 and p99 = percentile lats 0.99 in
-      let lmin = if Array.length lats > 0 then lats.(0) else 0.0 in
-      let lmax =
-        if Array.length lats > 0 then lats.(Array.length lats - 1) else 0.0
-      in
-      if json then begin
-        let doc =
-          Printf.sprintf
-            "{\"clients\":%d,\"jobs\":%d,\"apps\":%d,\"requests\":%d,\"elapsed\":%.6f,\"rps\":%.3f,\"latency\":{\"p50\":%.6f,\"p99\":%.6f,\"min\":%.6f,\"max\":%.6f},\"identical\":%d,\"mismatches\":%d,\"shutdown_ack\":%s,\"daemon_exit\":%d}"
-            clients jobs napps total elapsed rps p50 p99 lmin lmax
-            (total - mismatches) mismatches
-            (Protocol.escape_string shutdown_ack)
-            daemon_exit
-        in
-        let oc = open_out_bin bench6_json_file in
-        Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc doc);
-        print_endline doc
-      end
-      else begin
-        Eval.section
-          "Serve: daemon throughput over the corpus (every response checked against a cold run)";
-        Printf.printf
-          "  %d requests (%d apps x %d rounds) over %d client connections, %d worker domain(s)\n"
-          total napps rounds clients jobs;
-        Printf.printf "  sustained: %8.2f req/s  (%.3f s elapsed)\n" rps elapsed;
-        Printf.printf "  latency  : p50 %.4f s, p99 %.4f s, min %.4f s, max %.4f s\n" p50 p99
-          lmin lmax;
-        Printf.printf "  identity : %d/%d responses byte-identical to the cold CLI\n"
-          (total - mismatches) total;
-        Printf.printf "  shutdown : %s (daemon exit %d)\n" shutdown_ack daemon_exit
-      end;
-      if mismatches > 0 || daemon_exit <> 0 then exit 1
-
-(* ---------------------------------------------------------------- *)
 (* Ablations                                                          *)
 (* ---------------------------------------------------------------- *)
 
@@ -899,247 +581,22 @@ let extension () =
     "  (same threadification + points-to machinery; the teardown filter is the MHB analogue)\n"
 
 (* ---------------------------------------------------------------- *)
-(* crash: supervision overhead and kill/resume latency (BENCH_7)      *)
-(* ---------------------------------------------------------------- *)
-
-module Journal = Nadroid_core.Journal
-module Supervise = Nadroid_core.Supervise
-module Faultinject = Nadroid_core.Faultinject
-
-let bench7_json_file = "BENCH_7.json"
-
-(* One journaled corpus batch — the `nadroid analyze --journal` shape,
-   in-process: replayed records short-circuit, fresh results append.
-   Returns the batch digest (one MD5 over every entry's counts and
-   report bytes in corpus order) and the replay count; kill/resume
-   identity is judged on the digest. *)
-let journaled_batch ~jobs ~jpath ~resume apps : string * int =
-  let journal, replayed = Journal.open_ ~path:jpath ~resume in
-  let idx = Journal.latest replayed in
-  let config = Pipeline.default_config in
-  let reused = Atomic.make 0 in
-  let task (app : Corpus.app) =
-    let key = Cache.key ~config app.Corpus.source in
-    match Hashtbl.find_opt idx app.Corpus.name with
-    | Some r when String.equal r.Journal.j_key key -> (
-        ignore (Atomic.fetch_and_add reused 1);
-        match r.Journal.j_result with
-        | Ok e -> e
-        | Error f -> raise (Fault.Fault f))
-    | _ ->
-        let e =
-          Cache.entry_of_result
-            (Pipeline.analyze ~config ~file:app.Corpus.name app.Corpus.source)
-        in
-        Journal.append journal
-          { Journal.j_name = app.Corpus.name; j_key = key; j_result = Ok e };
-        e
-  in
-  let entries =
-    List.map
-      (function Ok e -> e | Error e -> raise e)
-      (Nadroid_core.Parallel.map_result ~jobs task apps)
-  in
-  Journal.close journal;
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (e : Cache.entry) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d/%d/%d\n%s\n" e.Cache.e_potential e.Cache.e_after_sound
-           e.Cache.e_after_unsound e.Cache.e_report))
-    entries;
-  (Digest.to_hex (Digest.string (Buffer.contents buf)), Atomic.get reused)
-
-(* Run one journaled batch in a child process (re-exec of this binary in
-   the hidden `crash-batch` mode — fork is off-limits once any domain
-   has existed). [faults] becomes the child's NADROID_FAULTS, so the
-   kill lands through the same env-armed path production workers use.
-   Returns the wait status and the elapsed wall time. *)
-let run_batch_child ?faults ~jobs ~jpath ~dfile ~resume () =
-  let env =
-    Array.of_list
-      (List.filter
-         (fun e -> not (String.starts_with ~prefix:(Faultinject.env_var ^ "=") e))
-         (Array.to_list (Unix.environment ()))
-      @ (match faults with None -> [] | Some f -> [ Faultinject.env_var ^ "=" ^ f ]))
-  in
-  flush stdout;
-  flush stderr;
-  let t0 = Clock.now () in
-  let pid =
-    Unix.create_process_env Sys.executable_name
-      [|
-        Sys.executable_name; "crash-batch"; jpath; dfile;
-        (if resume then "1" else "0"); string_of_int jobs;
-      |]
-      env Unix.stdin Unix.stdout Unix.stderr
-  in
-  let _, status = Unix.waitpid [] pid in
-  (status, Clock.now () -. t0)
-
-let read_small_file p =
-  let ic = open_in_bin p in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(* Crash-survival economics: what supervision costs on a clean batch
-   (apps/sec, plain vs one-process-per-app workers) and what resume
-   saves after a mid-batch SIGKILL (a child armed to die at the middle
-   journal append, then a --resume-shaped rerun whose digest must equal
-   the uninterrupted run's). Under --json the document also lands in
-   BENCH_7.json. Fails (exit 1) on any supervised fault, a child that
-   does not die/exit as scripted, or a digest mismatch. *)
-let crash ~jobs ~json () =
-  let apps = Lazy.force Corpus.all in
-  let n = List.length apps in
-  let config = Pipeline.default_config in
-  (* plain in-process batch *)
-  let t0 = Clock.now () in
-  let plain =
-    Eval.keep_ok ~what:"crash-plain" ~name:Eval.app_name
-      (Corpus.analyze_all ~config ~jobs apps)
-  in
-  let plain_elapsed = Clock.now () -. t0 in
-  if List.length plain < n then exit 1;
-  (* supervised batch: same apps, each in a worker process *)
-  let sp = Supervise.create ~jobs () in
-  let t0 = Clock.now () in
-  let sup =
-    Nadroid_core.Parallel.map_result ~jobs
-      (fun (app : Corpus.app) ->
-        match Supervise.analyze sp ~config ~file:app.Corpus.name app.Corpus.source with
-        | Ok e -> e
-        | Error f -> raise (Fault.Fault f))
-      apps
-  in
-  let sup_elapsed = Clock.now () -. t0 in
-  Supervise.shutdown sp;
-  let sup_ok = List.length (List.filter Result.is_ok sup) in
-  if sup_ok < n then begin
-    Printf.eprintf "crash: %d of %d supervised analyses faulted\n" (n - sup_ok) n;
-    exit 1
-  end;
-  (* kill + resume over a journaled batch *)
-  let dir = Printf.sprintf "_crash_bench.%d" (Unix.getpid ()) in
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let jpath = Filename.concat dir "journal" in
-  let dfile = Filename.concat dir "digest" in
-  (* every bail below leaves through [exit], which does NOT unwind the
-     stack (no Fun.protect finalizers) — clean the scratch dir from
-     at_exit so failure paths can't leak it into the repo root *)
-  at_exit (fun () ->
-      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ jpath; dfile ];
-      try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  let expect_exit0 what = function
-    | Unix.WEXITED 0 -> ()
-    | s ->
-        Printf.eprintf "crash: %s child %s\n" what (Supervise.status_string s);
-        exit 1
-  in
-  (try Sys.remove jpath with Sys_error _ -> ());
-  let full_status, full_elapsed = run_batch_child ~jobs ~jpath ~dfile ~resume:false () in
-  expect_exit0 "uninterrupted" full_status;
-  let full_digest = read_small_file dfile in
-  (try Sys.remove jpath with Sys_error _ -> ());
-  let kill_at = max 1 (n / 2) in
-  let kill_status, _ =
-    run_batch_child
-      ~faults:(Printf.sprintf "journal_append:%d:kill" kill_at)
-      ~jobs ~jpath ~dfile ~resume:false ()
-  in
-  (match kill_status with
-  | Unix.WSIGNALED s when s = Sys.sigkill -> ()
-  | s ->
-      Printf.eprintf "crash: expected the batch to die by SIGKILL, got %s\n"
-        (Supervise.status_string s);
-      exit 1);
-  let survivors = List.length (Journal.replay ~path:jpath) in
-  let resume_status, resume_elapsed = run_batch_child ~jobs ~jpath ~dfile ~resume:true () in
-  expect_exit0 "resume" resume_status;
-  let identical = String.equal full_digest (read_small_file dfile) in
-  if not identical then begin
-    Printf.eprintf "crash: resumed batch digest differs from the uninterrupted run\n";
-    exit 1
-  end;
-  let rate t = if t > 0.0 then float_of_int n /. t else 0.0 in
-  let ratio a b = if b > 0.0 then a /. b else 0.0 in
-  if json then begin
-    let doc =
-      Printf.sprintf
-        "{\"jobs\":%d,\"plain\":{\"apps\":%d,\"elapsed\":%.6f,\"apps_per_sec\":%.3f},\"supervised\":{\"apps\":%d,\"elapsed\":%.6f,\"apps_per_sec\":%.3f,\"overhead_vs_plain\":%.3f},\"kill_resume\":{\"apps\":%d,\"kill_at_append\":%d,\"journal_records_at_kill\":%d,\"full_elapsed\":%.6f,\"resume_elapsed\":%.6f,\"resume_speedup\":%.3f,\"identical\":%b}}"
-        jobs n plain_elapsed (rate plain_elapsed) n sup_elapsed (rate sup_elapsed)
-        (ratio sup_elapsed plain_elapsed)
-        n kill_at survivors full_elapsed resume_elapsed
-        (ratio full_elapsed resume_elapsed)
-        identical
-    in
-    let oc = open_out_bin bench7_json_file in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc doc);
-    print_endline doc
-  end
-  else begin
-    Eval.section "Crash survival: supervision overhead and kill/resume latency";
-    Printf.printf
-      "  plain batch:      %d apps in %.3f s (%.1f apps/s, %d jobs)\n" n plain_elapsed
-      (rate plain_elapsed) jobs;
-    Printf.printf
-      "  supervised batch: %d apps in %.3f s (%.1f apps/s, %.2fx the plain wall)\n" n
-      sup_elapsed (rate sup_elapsed)
-      (ratio sup_elapsed plain_elapsed);
-    Printf.printf
-      "  kill/resume:      SIGKILL at append %d left %d journaled; resume %.3f s vs full %.3f s (%.1fx), digests %s\n"
-      kill_at survivors resume_elapsed full_elapsed
-      (ratio full_elapsed resume_elapsed)
-      (if identical then "identical" else "DIFFER")
-  end
-
-(* ---------------------------------------------------------------- *)
 
 let () =
   (* usage: main.exe [EXPERIMENT] [--jobs N] [--json]
                      [--cache] [--no-cache] [--cache-dir DIR]
                      [--cache-max-bytes BYTES]
      --jobs parallelizes the corpus drivers over N domains (default: all
-     cores); --json makes `timing`/`perf` emit machine-readable bench
-     points (perf also writes BENCH_9.json) and switches every batch
-     failure inventory to JSON lines on stderr; --cache routes `timing`
-     through the analysis cache; `perf` always uses a scratch cache
-     under --cache-dir; --cache-max-bytes LRU-evicts the cache to that
-     size after each store. *)
-  (* a marked child (supervised worker) serves analyses and never
-     reaches the drivers; injection specs in the environment apply to
-     this process too *)
-  Supervise.worker_check ();
-  (match Faultinject.init_from_env () with
-  | Ok () -> ()
-  | Error e ->
-      Printf.eprintf "bad %s: %s\n" Faultinject.env_var e;
-      exit 2);
-  (* hidden child mode for the crash driver: one journaled corpus batch,
-     digest written to a file (see run_batch_child) *)
-  (match Array.to_list Sys.argv with
-  | _ :: "crash-batch" :: jpath :: dfile :: resume :: jobs :: _ ->
-      ignore (Lazy.force Nadroid_lang.Builtins.program);
-      let d, _ =
-        journaled_batch ~jobs:(int_of_string jobs) ~jpath
-          ~resume:(String.equal resume "1")
-          (Lazy.force Corpus.all)
-      in
-      let oc = open_out_bin dfile in
-      Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc d);
-      exit 0
-  | _ -> ());
+     cores); --json makes `timing` emit a machine-readable point and
+     switches every batch failure inventory to JSON lines on stderr;
+     --cache routes `timing` through the analysis cache under
+     --cache-dir; --cache-max-bytes LRU-evicts the cache to that size
+     after each store. *)
   let which = ref "all" and jobs = ref (Nadroid_core.Parallel.default_jobs ()) and json = ref false in
   let use_cache = ref false
   and no_cache = ref false
   and cache_dir = ref Nadroid_core.Cache.default_dir
   and cache_max_bytes = ref None in
-  let clients = ref 8 and rounds = ref 5 in
-  let fleet_apps = ref 5000
-  and fleet_adversarial = ref 0.02
-  and fleet_seed = ref 0
-  and fleet_window = ref Nadroid_core.Parallel.default_window in
   let rec parse = function
     | [] -> ()
     | "--json" :: rest ->
@@ -1168,57 +625,14 @@ let () =
             Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
             exit 2);
         parse rest
-    | "--clients" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some c when c >= 1 -> clients := c
-        | Some _ | None ->
-            Printf.eprintf "--clients expects a positive integer, got %s\n" n;
-            exit 2);
-        parse rest
-    | "--rounds" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some r when r >= 1 -> rounds := r
-        | Some _ | None ->
-            Printf.eprintf "--rounds expects a positive integer, got %s\n" n;
-            exit 2);
-        parse rest
-    | "--apps" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some a when a >= 1 -> fleet_apps := a
-        | Some _ | None ->
-            Printf.eprintf "--apps expects a positive integer, got %s\n" n;
-            exit 2);
-        parse rest
-    | "--adversarial" :: n :: rest ->
-        (match float_of_string_opt n with
-        | Some f when f >= 0.0 && f <= 1.0 -> fleet_adversarial := f
-        | Some _ | None ->
-            Printf.eprintf "--adversarial expects a fraction in [0,1], got %s\n" n;
-            exit 2);
-        parse rest
-    | "--seed" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some s -> fleet_seed := s
-        | None ->
-            Printf.eprintf "--seed expects an integer, got %s\n" n;
-            exit 2);
-        parse rest
-    | "--window" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some w when w >= 1 -> fleet_window := w
-        | Some _ | None ->
-            Printf.eprintf "--window expects a positive integer, got %s\n" n;
-            exit 2);
-        parse rest
     | arg :: rest ->
         which := arg;
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
   let jobs = !jobs and json = !json in
-  let clients = !clients and rounds = !rounds in
-  let cache_dir = !cache_dir and cache_max_bytes = !cache_max_bytes in
-  let cache = if !use_cache && not !no_cache then Some cache_dir else None in
+  let cache_max_bytes = !cache_max_bytes in
+  let cache = if !use_cache && not !no_cache then Some !cache_dir else None in
   (* under --json, batch failure inventories also go out as JSON lines *)
   Eval.json_faults := json;
   (* force the shared builtin-program lazy before any domain spawns *)
@@ -1230,32 +644,17 @@ let () =
       ("table2", table2 ~jobs);
       ("table3", table3);
       ("timing", timing ~jobs ~json ~cache ~cache_max_bytes);
-      ("perf", perf ~jobs ~json ~cache_dir ~cache_max_bytes);
-      ("serve", serve_bench ~jobs ~json ~clients ~rounds);
-      ("crash", crash ~jobs ~json);
       ("ablation", ablation);
       ("extension", extension);
     ]
   in
-  (* fleet is opt-in only: a 5000-app mega-corpus has no place in the
-     `all` sweep *)
-  let extras =
-    [
-      ( "fleet",
-        fun () ->
-          Fleet.run ~jobs ~json ~window:!fleet_window ~apps:!fleet_apps
-            ~adversarial:!fleet_adversarial ~seed:!fleet_seed ~cache
-            ~cache_max_bytes () );
-    ]
-  in
-  (match List.assoc_opt !which (all @ extras) with
+  (match List.assoc_opt !which all with
   | Some f -> f ()
   | None ->
       if String.equal !which "all" then List.iter (fun (_, f) -> f ()) all
       else begin
-        Printf.eprintf "unknown experiment %s (expected: all %s %s)\n" !which
-          (String.concat " " (List.map fst all))
-          (String.concat " " (List.map fst extras));
+        Printf.eprintf "unknown experiment %s (expected: all %s)\n" !which
+          (String.concat " " (List.map fst all));
         exit 2
       end);
   (* partial-failure batches printed their tables; still exit with the

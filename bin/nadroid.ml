@@ -296,91 +296,64 @@ let analyze_cmd =
           | Ok entry_outcome -> entry_outcome
           | Error f -> raise (Fault.Fault f))
     in
-    if stream then begin
-      (* corpus-scale path: the per-file JSON objects --json would
-         aggregate, one per line, flushed in input order as each file
-         completes. Nothing is accumulated except the fault inventory
-         (for the exit code), so memory is bounded by the scheduler
-         window, not the batch size. *)
-      let module Protocol = Nadroid_serve.Protocol in
-      let arr = Array.of_list files in
-      let n = Array.length arr in
-      let faults = ref [] in
-      Nadroid_core.Parallel.stream ~jobs ~n
-        (fun i -> analyze_one arr.(i))
-        (fun i r ->
-          let path = arr.(i) in
-          (match r with
-          | Ok ((e : Cache.entry), outcome) ->
-              warn_cache_outcome path outcome;
-              print_string (Protocol.entry_json ~name:path e)
-          | Error exn ->
-              let f = Fault.of_exn exn in
-              faults := f :: !faults;
-              print_string (Nadroid_core.Report.fault_to_json ~name:path f));
-          print_newline ();
-          flush stdout);
-      Option.iter Supervise.shutdown spool;
-      (match journal with Some (j, _) -> Journal.close j | None -> ());
-      if resume then
-        Fmt.epr "resume: %d of %d file(s) replayed from the journal@."
-          (Atomic.get reused) n;
-      match !faults with
-      | [] -> ()
-      | fs ->
-          Fmt.epr "%d of %d file(s) failed@." (List.length fs) n;
-          exit (Fault.worst_exit fs)
-    end
-    else begin
-    let results =
-      List.map2
-        (fun path r -> (path, Result.map_error Fault.of_exn r))
-        files
-        (Nadroid_core.Parallel.map_result ~jobs analyze_one files)
-    in
+    (* one emission path for every output mode: results arrive in input
+       order as files complete. --stream prints each file's JSON line at
+       once, so nothing but the fault inventory is accumulated and
+       memory is bounded by the scheduler window, not the batch size;
+       --json collects the same per-file objects into one batch object
+       (built by the Protocol functions the serve daemon answers with,
+       so a daemon response is byte-identical to this output); the
+       human report prints each file's section as it arrives. *)
+    let module Protocol = Nadroid_serve.Protocol in
+    let arr = Array.of_list files in
+    let n = Array.length arr in
+    let faults = ref [] and ok_json = ref [] and fault_json = ref [] in
+    Nadroid_core.Parallel.stream ~jobs ~n
+      (fun i -> analyze_one arr.(i))
+      (fun i r ->
+        let path = arr.(i) in
+        let r = Result.map_error Fault.of_exn r in
+        (match r with
+        | Ok (_, outcome) -> warn_cache_outcome path outcome
+        | Error f -> faults := f :: !faults);
+        if stream || json then begin
+          let line =
+            match r with
+            | Ok ((e : Cache.entry), _) -> Protocol.entry_json ~name:path e
+            | Error f -> Nadroid_core.Report.fault_to_json ~name:path f
+          in
+          if stream then begin
+            print_string line;
+            print_newline ();
+            flush stdout
+          end
+          else if Result.is_ok r then ok_json := line :: !ok_json
+          else fault_json := line :: !fault_json
+        end
+        else begin
+          if n > 1 then Fmt.pr "== %s ==@." path;
+          match r with
+          | Ok ((e : Cache.entry), _) ->
+              Fmt.pr "potential UAFs: %d; after sound filters: %d; after unsound filters: %d@.@."
+                e.Cache.e_potential e.Cache.e_after_sound e.Cache.e_after_unsound;
+              print_string e.Cache.e_report;
+              (* flushed here: each domain has its own std_formatter,
+                 and the next file may be emitted from another domain *)
+              if timings then Fmt.pr "%a%!" Nadroid_core.Report.pp_metrics e.Cache.e_metrics
+          | Error fault -> Fmt.epr "%s: %a@." path Fault.pp fault
+        end);
     Option.iter Supervise.shutdown spool;
-    (match journal with Some (j, _) -> Journal.close j | None -> ());
+    Option.iter (fun (j, _) -> Journal.close j) journal;
     if resume then
-      Fmt.epr "resume: %d of %d file(s) replayed from the journal@."
-        (Atomic.get reused) (List.length files);
-    List.iter
-      (fun (path, r) ->
-        match r with Ok (_, outcome) -> warn_cache_outcome path outcome | Error _ -> ())
-      results;
-    (if json then
-       (* stable machine-readable form: per-file counts, degradations and
-          the rendered report plus the fault inventory — built by the
-          same Protocol functions the serve daemon answers with, so a
-          daemon response is byte-identical to this output *)
-       let module Protocol = Nadroid_serve.Protocol in
-       let file_json (path, r) =
-         match r with
-         | Ok ((e : Cache.entry), _) -> Protocol.entry_json ~name:path e
-         | Error fault -> Nadroid_core.Report.fault_to_json ~name:path fault
-       in
-       let ok, bad = List.partition (fun (_, r) -> Result.is_ok r) results in
-       Fmt.pr "%s@."
-         (Protocol.batch_json ~files:(List.length results)
-            ~apps:(List.map file_json ok) ~faults:(List.map file_json bad))
-     else
-       List.iter
-         (fun (path, r) ->
-           if List.length files > 1 then Fmt.pr "== %s ==@." path;
-           match r with
-           | Ok ((e : Cache.entry), _) ->
-               Fmt.pr "potential UAFs: %d; after sound filters: %d; after unsound filters: %d@.@."
-                 e.Cache.e_potential e.Cache.e_after_sound e.Cache.e_after_unsound;
-               print_string e.Cache.e_report;
-               if timings then Fmt.pr "%a" Nadroid_core.Report.pp_metrics e.Cache.e_metrics
-           | Error fault -> Fmt.epr "%s: %a@." path Fault.pp fault)
-         results);
-    let faults = List.filter_map (fun (_, r) -> Result.fold ~ok:(fun _ -> None) ~error:Option.some r) results in
-    (match faults with
+      Fmt.epr "resume: %d of %d file(s) replayed from the journal@." (Atomic.get reused) n;
+    if json then
+      Fmt.pr "%s@."
+        (Protocol.batch_json ~files:n ~apps:(List.rev !ok_json) ~faults:(List.rev !fault_json));
+    match !faults with
     | [] -> ()
-    | _ :: _ ->
-        Fmt.epr "%d of %d file(s) failed@." (List.length faults) (List.length files);
-        exit (Fault.worst_exit faults))
-    end
+    | fs ->
+        Fmt.epr "%d of %d file(s) failed@." (List.length fs) n;
+        exit (Fault.worst_exit fs)
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"statically detect UAF ordering violations")

@@ -1,14 +1,16 @@
 (* Content-addressed on-disk cache for analysis results.
 
    A cache entry is addressed by the digest of (source bytes, canonical
-   pipeline-config rendering, analyzer version): any change to the
-   source, the configuration or the analyzer busts the address, so a hit
-   can only ever return what a fresh run of the same analyzer over the
-   same input would produce. Entries store the *rendered* artifacts — the
-   warning counts, the final report string and the cold run's metrics —
-   not the solver state, which keeps them small, Marshal-safe and exactly
-   sufficient for every consumer (CLI output, golden canonical reports,
-   bench timing rows).
+   pipeline-config rendering, analyzer version, file name): any change
+   to the source, the configuration, the analyzer or the name busts the
+   address, so a hit can only ever return what a fresh run of the same
+   analyzer over the same input would produce. The name is part of the
+   input because every report embeds it: two files with the same text
+   ("twins") would otherwise be served each other's report. Entries
+   store the *rendered* artifacts — the warning counts, the final report
+   string and the cold run's metrics — not the solver state, which keeps
+   them small, Marshal-safe and exactly sufficient for every consumer
+   (CLI output, golden canonical reports, bench timing rows).
 
    Integrity: the payload is guarded by a magic header and a digest; a
    truncated, corrupted or wrong-format file is reported as [Corrupt]
@@ -17,10 +19,11 @@
    bytes. Writes go through a temp file + rename, so a crashed writer
    leaves no half-written addressable entry. *)
 
-(* Bump on any change to analysis semantics or to the entry format; old
-   entries then simply stop being addressed (no migration, no unmarshal
-   of foreign layouts). *)
-let version = "nadroid-6"
+(* Bump on any change to analysis semantics or to the entry format —
+   including the layout of [Pipeline.metrics], which entries Marshal;
+   old entries then simply stop being addressed (no migration, no
+   unmarshal of foreign layouts). *)
+let version = "nadroid-7"
 
 let default_dir = "_nadroid_cache"
 
@@ -51,10 +54,12 @@ let config_digest (c : Pipeline.config) : string =
     | Nadroid_analysis.Pta.Worklist -> "worklist"
     | Nadroid_analysis.Pta.Reference -> "reference")
 
+let digest parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
+
 let key ?(version = version) ~(config : Pipeline.config) (src : string) : string =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00" [ Digest.string src; config_digest config; version ]))
+  digest [ Digest.string src; config_digest config; version ]
+
+let address ~config ~file src = digest [ key ~config src; file ]
 
 let path ~dir k = Filename.concat dir (k ^ ".cache")
 
@@ -246,11 +251,13 @@ let entry_of_result (t : Pipeline.t) : entry =
    a corrupt entry never influences the returned result. [max_bytes]
    caps the directory size: eviction runs opportunistically after each
    store, and the just-stored entry carries the newest mtime, so it is
-   the last candidate to go. *)
+   the last candidate to go. A run that degraded under a wall-clock
+   deadline is returned but not stored: how far it got depends on host
+   speed, so a later run with the same address may well complete. *)
 let analyze ?config ?max_bytes ?interner ~dir ~file (src : string) : entry * outcome =
   let config = Option.value config ~default:Pipeline.default_config in
   sweep_on_open ~dir;
-  let k = key ~config src in
+  let k = address ~config ~file src in
   match find ~dir k with
   | Some e, Hit -> (e, Hit)
   | _, ((Miss | Corrupt _) as outcome) ->
@@ -258,14 +265,16 @@ let analyze ?config ?max_bytes ?interner ~dir ~file (src : string) : entry * out
          batch symbol table never changes the produced entry *)
       let t = Pipeline.analyze ~config ?interner ~file src in
       let e = entry_of_result t in
+      let timed = config.Pipeline.budgets.Pipeline.deadline <> None in
       (* persistence is best-effort: a failed store (disk full, injected
          I/O fault) costs the next run a recompute, never this run its
          already-computed result *)
-      (try
-         store ~dir k e;
-         match max_bytes with
-         | Some mb -> ignore (evict ~dir ~max_bytes:mb)
-         | None -> ()
-       with Sys_error _ | Unix.Unix_error _ -> ());
+      if not (timed && e.e_metrics.Pipeline.m_degraded <> []) then (
+        try
+          store ~dir k e;
+          match max_bytes with
+          | Some mb -> ignore (evict ~dir ~max_bytes:mb)
+          | None -> ()
+        with Sys_error _ | Unix.Unix_error _ -> ());
       (e, outcome)
   | None, Hit -> assert false

@@ -1,7 +1,7 @@
 (** Content-addressed on-disk cache for analysis results.
 
     Entries are addressed by [Digest (source, config rendering, analyzer
-    version)] and store the rendered artifacts of one analysis — warning
+    version, file name)] and store the rendered artifacts of one analysis — warning
     counts, the final report string and the producing run's metrics — so
     a warm re-run of an unchanged input skips analysis entirely while
     staying byte-identical to the cold run. Corrupt or truncated entries
@@ -29,12 +29,19 @@ val config_digest : Pipeline.config -> string
 (** Canonical rendering of every result-influencing config field. *)
 
 val key : ?version:string -> config:Pipeline.config -> string -> string
-(** [key ~config src] is the hex cache address of analyzing [src] under
-    [config]; [?version] overrides {!version} (tests). *)
+(** [key ~config src] is the hex digest of analyzing [src] under
+    [config], whatever the file is called; [?version] overrides
+    {!version} (tests). Journal records carry it to tell a changed
+    source from an unchanged one. *)
+
+val address : config:Pipeline.config -> file:string -> string -> string
+(** [address ~config ~file src] is the hex address under which
+    {!analyze} stores the entry of [src] named [file]: {!key} plus the
+    name, because every report embeds the name. *)
 
 val path : dir:string -> string -> string
-(** On-disk path of an address ([<dir>/<key>.cache]); exposed for tests
-    that manipulate entry mtimes directly. *)
+(** On-disk path of an address ([<dir>/<address>.cache]); exposed for
+    tests that manipulate entry files directly. *)
 
 val find : dir:string -> string -> entry option * outcome
 (** Look an address up. [(Some e, Hit)] on an intact entry; [(None,
@@ -83,4 +90,7 @@ val analyze :
     {!evict} opportunistically after the store; the fresh entry carries
     the newest mtime, so it is evicted last. [interner] is forwarded to
     {!Pipeline.analyze} on a miss; it is deliberately not part of the
-    cache key, since sharing cannot change the entry. *)
+    cache key, since sharing cannot change the entry. The entry lives at
+    {!address}. A run that degraded while [config] has a deadline is
+    returned but not stored, since how far it got depends on host
+    speed. *)

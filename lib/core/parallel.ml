@@ -1,18 +1,12 @@
-(* A reusable fixed-size domain pool with a submit/await queue.
+(* Domain parallelism: one batch scheduler and one persistent pool.
 
-   Historically this module spawned fresh domains for every [map] call.
-   The serve daemon needs workers that outlive any one batch — spawning
-   a domain per request would dominate request latency — so the pool is
-   now a first-class value: [Pool.create] spawns the workers once,
-   [Pool.submit] enqueues a task and returns a future, [Pool.await]
-   blocks on its completion, and [Pool.shutdown] drains the queue and
-   joins the workers (graceful: queued work still runs).
-
-   [map_result] keeps its historical contract on top of the pool: input
-   order, crash isolation per slot, and — when no persistent pool is
-   passed — the same domain budget as the old spawn-per-map code (the
-   caller participates in the work via {!Pool.help}, so a transient map
-   on [jobs] still runs at most [jobs] tasks concurrently). *)
+   [stream] is the batch engine. It runs a whole batch on a fixed set of
+   domains that exists only for the batch, and [map_result] is the
+   list-shaped collector over it. [Pool] is for processes that outlive
+   any one batch (the serve daemon): [Pool.create] spawns the workers
+   once, [Pool.submit] enqueues a task and returns a future,
+   [Pool.await] blocks on its completion, and [Pool.shutdown] drains the
+   queue and joins the workers (graceful: queued work still runs). *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
@@ -101,19 +95,6 @@ module Pool = struct
     Mutex.unlock fut.fm;
     r
 
-  let help t =
-    let rec loop () =
-      Mutex.lock t.m;
-      let task = if Queue.is_empty t.queue then None else Some (Queue.pop t.queue) in
-      Mutex.unlock t.m;
-      match task with
-      | None -> ()
-      | Some task ->
-          task ();
-          loop ()
-    in
-    loop ()
-
   let shutdown t =
     Mutex.lock t.m;
     if t.stopping then Mutex.unlock t.m
@@ -126,45 +107,7 @@ module Pool = struct
     end
 end
 
-let map_result ?pool ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
-  let n = List.length xs in
-  if n = 0 then []
-  else
-    match pool with
-    | Some p ->
-        (* persistent pool: the caller blocks on the futures rather than
-           stealing work — a server's control loop must stay responsive,
-           not run analyses *)
-        ignore (Pool.jobs p);
-        let futs = List.map (fun x -> Pool.submit p (fun () -> f x)) xs in
-        List.map Pool.await futs
-    | None ->
-        let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-        if jobs = 1 || n = 1 then
-          List.map (fun x -> try Ok (f x) with e -> Error e) xs
-        else begin
-          (* transient pool, same domain budget as the historical
-             spawn-per-map: [min jobs n - 1] workers plus the caller *)
-          let p = Pool.create ~jobs:(min jobs n - 1) () in
-          let futs = List.map (fun x -> Pool.submit p (fun () -> f x)) xs in
-          Pool.help p;
-          let rs = List.map Pool.await futs in
-          Pool.shutdown p;
-          rs
-        end
-
-(* Fail-fast map: every item still runs (all results are computed), but
-   the first failure in input order is re-raised in the caller, so
-   existing callers keep their contract. *)
-let map ?pool ?jobs f xs =
-  let rec unwrap = function
-    | [] -> []
-    | Ok r :: rest -> r :: unwrap rest
-    | Error e :: _ -> raise e
-  in
-  unwrap (map_result ?pool ?jobs f xs)
-
-(* -- streaming batch scheduler ------------------------------------------- *)
+(* -- the batch scheduler --------------------------------------------------- *)
 
 (* [stream] runs [f 0 .. f (n-1)] over a fixed worker set and hands each
    result to [emit] in strict input order, holding at most [window]
@@ -173,11 +116,8 @@ let map ?pool ?jobs f xs =
 
    Scheduling: indices are admitted into per-worker deques round-robin
    as the emission watermark advances (the admission window is what
-   bounds memory). Under [Static] a worker only ever drains its own
-   deque — the classic static split, kept as the bench baseline — so one
-   adversarial straggler idles its whole residue class. Under [Steal]
-   (the default) a worker whose deque runs dry takes the *back* half of
-   the longest peer deque: the victim keeps its imminent, ordering-
+   bounds memory). A worker whose deque runs dry takes the *back* half
+   of the longest peer deque: the victim keeps its imminent, ordering-
    critical front while the thief carries work far from the watermark,
    which is exactly the work a straggler would otherwise strand.
 
@@ -187,12 +127,9 @@ let map ?pool ?jobs f xs =
    argument. [emit] runs under the same mutex — it is serialized, in
    input order, and must not call back into the scheduler. *)
 
-type sched = Static | Steal
+let window = 256
 
-let default_window = 256
-
-let stream ?jobs ?(window = default_window) ?(sched = Steal) ~n
-    (f : int -> 'b) (emit : int -> ('b, exn) result -> unit) : unit =
+let stream ?jobs ~n (f : int -> 'b) (emit : int -> ('b, exn) result -> unit) : unit =
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   if n <= 0 then ()
   else if jobs = 1 || n = 1 then
@@ -231,10 +168,9 @@ let stream ?jobs ?(window = default_window) ?(sched = Steal) ~n
       done
     in
     (* with [m] held: next index for worker [w] — own deque first, then
-       (Steal only) the back half of the longest peer deque *)
+       the back half of the longest peer deque *)
     let pop w =
       if not (Queue.is_empty deques.(w)) then Some (Queue.pop deques.(w))
-      else if sched = Static then None
       else begin
         let victim = ref (-1) and best = ref 0 in
         Array.iteri
@@ -297,3 +233,9 @@ let stream ?jobs ?(window = default_window) ?(sched = Steal) ~n
     List.iter Domain.join domains;
     match !failed with Some e -> raise e | None -> ()
   end
+
+let map_result ?jobs (f : 'a -> 'b) (xs : 'a list) : ('b, exn) result list =
+  let arr = Array.of_list xs in
+  let out = Array.make (Array.length arr) None in
+  stream ?jobs ~n:(Array.length arr) (fun i -> f arr.(i)) (fun i r -> out.(i) <- Some r);
+  Array.to_list (Array.map Option.get out)

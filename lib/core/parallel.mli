@@ -1,15 +1,12 @@
-(** A reusable fixed-size domain pool (OCaml 5 [Domain]/[Mutex]) with a
-    submit/await queue.
+(** Domain parallelism (OCaml 5 [Domain]/[Mutex]): one batch scheduler
+    and one persistent pool.
 
-    Two entry points share the same workers:
-
+    - {!stream}: the batch engine — a work-stealing scheduler that emits
+      results in input order with bounded memory; {!map_result} collects
+      its emissions into a list. Tasks must not share mutable state.
     - {!Pool}: a persistent pool for long-lived processes (the serve
       daemon) — create once, submit tasks as requests arrive, await
-      their futures, shut down gracefully (queued work drains first).
-    - {!map_result}/{!map}: the batch primitive — results in input
-      order regardless of scheduling; tasks must not share mutable
-      state. Pass [?pool] to run a batch on a persistent pool, or omit
-      it for a self-contained map with the historical domain budget. *)
+      their futures, shut down gracefully (queued work drains first). *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
@@ -36,55 +33,31 @@ module Pool : sig
   (** Block until the task finishes; its exception, if any, is captured
       in the result, never re-raised into the awaiting domain. *)
 
-  val help : t -> unit
-  (** Run queued tasks in the calling domain until the queue is empty —
-      lets a caller that would otherwise block participate in its own
-      batch (the transient-map path uses this to keep the historical
-      concurrency budget). *)
-
   val shutdown : t -> unit
   (** Graceful: stop accepting work, let the workers drain the queue,
       then join them. Idempotent. *)
 end
 
-val map_result :
-  ?pool:Pool.t -> ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-(** Crash-isolated map: applies [f] to every element, capturing a task's
-    exception as [Error] in its own slot while the remaining items still
-    run — one poisoned input cannot lose the batch. Deterministic in
-    input order. With [?pool], tasks run on the persistent pool (the
-    caller only awaits); otherwise up to [jobs] (default
-    {!default_jobs}) run concurrently, counting the caller — [jobs = 1]
-    runs in the calling domain with no spawns. *)
+val window : int
+(** Admission window of {!stream}: at most this many indices (256,
+    floored at [2*jobs]) are past the emission watermark at once. *)
 
-val map : ?pool:Pool.t -> ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Fail-fast map on top of {!map_result}: the first failure in input
-    order is re-raised in the caller after the batch completes. Same
-    output as [List.map f xs] whenever [f] is pure. *)
-
-type sched =
-  | Static  (** per-domain round-robin split, no rebalancing (baseline) *)
-  | Steal  (** idle workers steal the back half of the longest peer deque *)
-
-val default_window : int
-(** Default admission window of {!stream} (256 in-flight indices). *)
-
-val stream :
-  ?jobs:int ->
-  ?window:int ->
-  ?sched:sched ->
-  n:int ->
-  (int -> 'b) ->
-  (int -> ('b, exn) result -> unit) ->
-  unit
+val stream : ?jobs:int -> n:int -> (int -> 'b) -> (int -> ('b, exn) result -> unit) -> unit
 (** [stream ~n f emit] computes [f 0 .. f (n-1)] on up to [jobs] domains
-    (counting the caller) and calls [emit i result] for every index in
-    strict input order, crash-isolated per slot like {!map_result}. At
-    most [window] indices (default {!default_window}, floored at
-    [2*jobs]) are past the emission watermark at once, so memory stays
-    bounded independent of [n] — the streaming analogue of
-    {!map_result} for corpus-scale batches. [emit] is serialized on one
-    domain at a time and must not re-enter this module. If [emit]
-    raises, no further results are emitted and the exception is
-    re-raised in the caller after in-flight tasks finish. [jobs = 1]
-    runs everything sequentially in the calling domain. *)
+    (default {!default_jobs}, counting the caller) and calls
+    [emit i result] for every index in strict input order. A task's
+    exception is captured as [Error] in its own slot while the remaining
+    items still run — one poisoned input cannot lose the batch. An idle
+    worker steals the back half of the longest peer deque, so one
+    straggler never strands the work queued behind it. At most {!window}
+    indices are in flight, so memory stays bounded independent of [n].
+    [emit] is serialized on one domain at a time and must not re-enter
+    this module. If [emit] raises, no further results are emitted and
+    the exception is re-raised in the caller after in-flight tasks
+    finish. [jobs = 1] runs everything sequentially in the calling
+    domain with no spawns. *)
+
+val map_result : ?jobs:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
+(** [f] applied to every element through {!stream}: results in input
+    order at any [jobs], each task's exception captured in its own
+    slot. *)

@@ -36,24 +36,18 @@ let find name =
    independent of [jobs]. Failures are isolated per app: one poisoned
    source yields a structured [Fault.t] in its own slot while the rest
    of the batch completes. *)
-let analyze_all ?config ?jobs ?window ?sched (apps : app list) :
+let analyze_all ?config ?jobs (apps : app list) :
     (app * (Nadroid_core.Pipeline.t, Nadroid_core.Fault.t) result) list =
   (* the builtin framework program is a global lazy: force it before
      spawning so domains never race on the thunk *)
   ignore (Lazy.force Nadroid_lang.Builtins.program);
   let interner = Nadroid_core.Pipeline.create_interner () in
-  let arr = Array.of_list apps in
-  let out = Array.make (Array.length arr) None in
-  Nadroid_core.Parallel.stream ?jobs ?window ?sched ~n:(Array.length arr)
-    (fun i ->
-      Nadroid_core.Pipeline.analyze ?config ~interner ~file:arr.(i).name arr.(i).source)
-    (fun i r -> out.(i) <- Some r);
-  List.mapi
-    (fun i app ->
-      match out.(i) with
-      | Some r -> (app, Result.map_error Nadroid_core.Fault.of_exn r)
-      | None -> assert false)
-    apps
+  List.combine apps
+    (List.map
+       (Result.map_error Nadroid_core.Fault.of_exn)
+       (Nadroid_core.Parallel.map_result ?jobs
+          (fun a -> Nadroid_core.Pipeline.analyze ?config ~interner ~file:a.name a.source)
+          apps))
 
 (* -- Table 2: artificial UAF injection ----------------------------------- *)
 

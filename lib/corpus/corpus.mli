@@ -22,8 +22,6 @@ val find : string -> app option
 val analyze_all :
   ?config:Nadroid_core.Pipeline.config ->
   ?jobs:int ->
-  ?window:int ->
-  ?sched:Nadroid_core.Parallel.sched ->
   app list ->
   (app * (Nadroid_core.Pipeline.t, Nadroid_core.Fault.t) result) list
 (** Run the full pipeline over a batch of apps on a domain pool of

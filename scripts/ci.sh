@@ -1,6 +1,7 @@
 #!/bin/sh
-# CI gate: formatting, build, tests, and a smoke run of the
-# machine-readable timing bench. Run from the repository root.
+# CI gate: formatting, build, tests, correctness gates, a smoke run of
+# the benchmark and a check against its recorded point. Run from the
+# repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -66,18 +67,14 @@ dune exec --no-print-directory bin/nadroid.exe -- golden --dir test/golden --cac
 dune exec --no-print-directory bin/nadroid.exe -- golden --dir test/golden --cache --cache-dir "$cache_dir"
 rm -rf "$cache_dir"
 
-# 9. Perf bench smoke: cold/warm/reference batches must emit the
-#    BENCH_9.json trajectory point with its expected keys.
-dune exec --no-print-directory bench/main.exe -- perf --json --jobs 1 >/dev/null
-for key in '"cold_elapsed"' '"warm_elapsed"' '"reference_elapsed"' '"cold_frontend"' '"speedup_cold_vs_reference"' '"warm_hits"' '"pta_visits"' '"pta_steps"'; do
-  case $(cat BENCH_9.json) in
-  *${key}*) ;;
-  *)
-    echo "ci: BENCH_9.json is missing ${key}" >&2
-    exit 1
-    ;;
-  esac
-done
+# 9. Benchmark smoke: every workload of perfbench (BENCHMARK.json) for
+#    one second. It builds the program and the benchmark from source —
+#    so it also fails when a lib/ change stops the benchmark compiling —
+#    and byte-checks every verdict against a sequential, uncached
+#    reference: serve-cached's daemon replies, and fleet-par's
+#    work-stealing and batch-supervised's worker-process batches. Any
+#    wrong verdict exits non-zero. It writes nothing into the tree.
+python3 perfbench/run.py --workload all --seed 42 --seconds 1 >/dev/null
 
 # 10. Wedged-analysis gate: an adversarial app whose filter phase runs
 #     ~10s unbounded must, under --deadline 2, terminate within 2x the
@@ -138,21 +135,7 @@ if ! wait "$serve_pid"; then
 fi
 rm -f "$serve_src" "$serve_sock"
 
-# 13. Serve bench smoke: concurrent clients against a forked daemon must
-#     report zero byte mismatches and a clean daemon exit in BENCH_6.json.
-dune exec --no-print-directory bench/main.exe -- serve --json \
-  --clients 4 --rounds 1 --jobs 1 >/dev/null
-for key in '"rps"' '"p50"' '"p99"' '"mismatches":0' '"daemon_exit":0'; do
-  case $(cat BENCH_6.json) in
-  *${key}*) ;;
-  *)
-    echo "ci: BENCH_6.json is missing ${key}" >&2
-    exit 1
-    ;;
-  esac
-done
-
-# 14. Crash-survival gate: (a) a batch SIGKILLed mid-run leaves a
+# 13. Crash-survival gate: (a) a batch SIGKILLed mid-run leaves a
 #     journal whose --resume rerun exits 0 with output byte-identical
 #     to an uninterrupted run; (b) an app that kills its supervised
 #     worker costs exactly one quarantine fault while the rest of the
@@ -228,63 +211,24 @@ if ! wait "$crash_pid"; then
 fi
 rm -rf "$crash_dir" "$crash_sock"
 
-# 15. Blast-radius matrix: seeded fault injection across the cache,
+# 14. Blast-radius matrix: seeded fault injection across the cache,
 #     journal and worker seams; every app outcome must be baseline-
 #     identical or an attributable structured fault — any escape
 #     exits 4.
 dune exec --no-print-directory bin/nadroid.exe -- faultfuzz \
   --seed 42 --trials 8 --apps 6 --jobs 2
 
-# 16. Fleet smoke: a seeded 500-app mega-corpus (2% adversarial) through
-#     the work-stealing scheduler on 4 jobs, cached under a tight
-#     --cache-max-bytes cap. The driver itself exits non-zero on any
-#     fault or any cross-scheduler digest mismatch; re-check both from
-#     BENCH_8.json anyway so a silent driver regression can't pass.
-fleet_dir="/tmp/nadroid-ci-fleet.$$"
-rm -rf "$fleet_dir" BENCH_8.json
-mkdir -p "$fleet_dir"
-dune exec --no-print-directory bench/main.exe -- fleet --json --jobs 4 \
-  --apps 500 --adversarial 0.02 --seed 42 \
-  --cache --cache-dir "$fleet_dir" --cache-max-bytes 262144 > /dev/null
-case $(cat BENCH_8.json) in
-*'"digests_identical":true,"faults":0,'*) ;;
-*)
-  echo "ci: fleet smoke must report zero faults and identical digests" >&2
-  exit 1
-  ;;
-esac
-rm -rf "$fleet_dir"
-
-# 17. Frontend gate: (a) the frontend-equivalence group — table-driven
-#     lexer, token-array parser and batch-shared interning must be
-#     byte-identical to the reference paths on 200 generated apps and
-#     the corpus, and count_loc must agree with the naive LOC-spec
-#     scanner on every corpus app; (b) perf smoke — the cold corpus
-#     batch must not regress >20% against the committed BENCH_9
-#     trajectory point. Step 9 already overwrote the working-tree
-#     BENCH_9.json, so the baseline comes from HEAD; the measurement is
-#     the better of step 9's run and one fresh run, which keeps a
-#     single noisy run on a loaded machine from failing the gate.
+# 15. Frontend and performance gate: (a) the frontend-equivalence
+#     group — table-driven lexer, token-array parser and batch-shared
+#     interning must be byte-identical to the reference paths on 200
+#     generated apps and the corpus, and count_loc must agree with the
+#     naive LOC-spec scanner on every corpus app; (b) the better of two
+#     corpus-seq benchmark runs must reach 0.8 x the apps/s of the
+#     committed BENCH_16.json point (written by
+#     `python3 scripts/bench_record.py record`, never by CI). On a
+#     machine with another nproc or OCaml version than the point's, the
+#     check says so on stderr and skips.
 dune exec --no-print-directory test/test_main.exe -- test frontend-equivalence
-cold_extract() {
-  sed -n 's/.*"cold_elapsed":\([0-9.][0-9.]*\).*/\1/p' "$1"
-}
-baseline_json="_nadroid_cache/ci-bench9-head.$$.json"
-mkdir -p _nadroid_cache
-if git show HEAD:BENCH_9.json > "$baseline_json" 2>/dev/null; then
-  baseline=$(cold_extract "$baseline_json")
-  sample1=$(cold_extract BENCH_9.json)
-  dune exec --no-print-directory bench/main.exe -- perf --json --jobs 1 >/dev/null
-  sample2=$(cold_extract BENCH_9.json)
-  if ! awk -v b="$baseline" -v s1="$sample1" -v s2="$sample2" \
-    'BEGIN { best = (s1 < s2 ? s1 : s2); exit !(best <= b * 1.2) }'; then
-    echo "ci: frontend perf smoke regressed >20% vs committed BENCH_9" \
-      "(baseline ${baseline}s, runs ${sample1}s / ${sample2}s)" >&2
-    exit 1
-  fi
-else
-  echo "ci: no committed BENCH_9.json at HEAD; skipping perf smoke" >&2
-fi
-rm -f "$baseline_json"
+python3 scripts/bench_record.py check --point BENCH_16.json >/dev/null
 
 echo "ci: ok"

@@ -1,7 +1,8 @@
 (* Content-addressed analysis cache: a warm hit serves exactly the bytes
-   the cold run produced; any change to source, config or analyzer
-   version moves the address; a corrupted or truncated entry is a miss
-   that surfaces a structured [Fault] and never a wrong report. *)
+   the cold run produced; any change to source, config, analyzer version
+   or file name moves the address; a corrupted or truncated entry is a
+   miss that surfaces a structured [Fault] and never a wrong report; a
+   deadline-degraded run is never persisted. *)
 
 module Pipeline = Nadroid_core.Pipeline
 module Cache = Nadroid_core.Cache
@@ -96,8 +97,10 @@ let corruption_is_a_surfaced_miss mangle () =
   with_dir (fun dir ->
       let a = app () in
       let cold, _ = Cache.analyze ~dir ~file:a.Corpus.name a.Corpus.source in
-      let k = Cache.key ~config:Pipeline.default_config a.Corpus.source in
-      let p = Filename.concat dir (k ^ ".cache") in
+      let k =
+        Cache.address ~config:Pipeline.default_config ~file:a.Corpus.name a.Corpus.source
+      in
+      let p = Cache.path ~dir k in
       let raw =
         let ic = open_in_bin p in
         Fun.protect
@@ -222,6 +225,58 @@ let eviction_caps_corpus_batch () =
       Alcotest.(check bool) "eviction ran (not every entry survived)" true
         (List.length (Sys.readdir dir |> Array.to_list) < List.length (Lazy.force Corpus.all)))
 
+(* Two files with the same text ("twins") under different names: every
+   report embeds its file name, so each twin's cached entry must be the
+   bytes an uncached run over that name prints. Keyed by source alone,
+   the second twin was served the first one's report. *)
+let twins_get_their_own_report () =
+  with_dir (fun dir ->
+      let src = fst (Nadroid_corpus.Synth.render (Nadroid_corpus.Synth.generate ~seed:7)) in
+      let json ~name (e : Cache.entry) = Nadroid_serve.Protocol.entry_json ~name e in
+      List.iter
+        (fun name ->
+          let cached, _ = Cache.analyze ~dir ~file:name src in
+          let uncached = Cache.entry_of_result (Pipeline.analyze ~file:name src) in
+          Alcotest.(check string)
+            (name ^ ": cached output = uncached output")
+            (json ~name uncached) (json ~name cached))
+        [ "a.mand"; "b.mand"; "a.mand"; "b.mand" ])
+
+let entries dir =
+  if Sys.file_exists dir then
+    List.filter (fun f -> Filename.check_suffix f ".cache") (Array.to_list (Sys.readdir dir))
+  else []
+
+(* A run cut short by a wall-clock deadline depends on host speed: it is
+   returned, but storing it would serve the degraded report to every
+   later run with that address. Unbounded, this adversarial app takes
+   seconds in its filter phase, so 0.3 s always degrades it. A run that
+   completes inside its deadline is stored as usual. *)
+let deadline_degraded_runs_are_not_stored () =
+  let with_deadline d =
+    {
+      Pipeline.default_config with
+      Pipeline.budgets = { Pipeline.no_budgets with Pipeline.deadline = Some d };
+    }
+  in
+  with_dir (fun dir ->
+      let src = Nadroid_corpus.Synth.adversarial ~seed:0 ~size:40 in
+      let e, _ = Cache.analyze ~config:(with_deadline 0.3) ~dir ~file:"adv.mand" src in
+      Alcotest.(check bool) "the run degraded" true
+        (e.Cache.e_metrics.Pipeline.m_degraded <> []);
+      Alcotest.(check (list string)) "no entry written" [] (entries dir));
+  with_dir (fun dir ->
+      let a = app () in
+      let analyze () =
+        Cache.analyze ~config:(with_deadline 600.0) ~dir ~file:a.Corpus.name a.Corpus.source
+      in
+      let e, _ = analyze () in
+      Alcotest.(check bool) "the run completed" true (e.Cache.e_metrics.Pipeline.m_degraded = []);
+      Alcotest.(check int) "one entry written" 1 (List.length (entries dir));
+      match analyze () with
+      | _, Cache.Hit -> ()
+      | _ -> Alcotest.fail "an undegraded deadline run must be served from the cache")
+
 (* metrics JSON (the --json observability satellite): solver work
    counters are present and positive on a real analysis *)
 let metrics_json_has_solver_counters () =
@@ -260,5 +315,9 @@ let suite =
           eviction_caps_corpus_batch;
         Alcotest.test_case "metrics json carries solver work counters" `Quick
           metrics_json_has_solver_counters;
+        Alcotest.test_case "twin sources under two names get their own report" `Quick
+          twins_get_their_own_report;
+        Alcotest.test_case "deadline-degraded runs are not stored" `Quick
+          deadline_degraded_runs_are_not_stored;
       ] );
   ]

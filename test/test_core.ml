@@ -236,24 +236,33 @@ let detection_tests =
           (Detect.may_alias esc static_use (access ~thread:2 ~static:true ~objs:IS.empty (fr "g"))));
   ]
 
+(* map_result with each captured exception rendered, so slots compare *)
+let map_result ~jobs f xs =
+  List.map (Result.map_error Printexc.to_string) (Parallel.map_result ~jobs f xs)
+
 let parallel_tests =
   [
     Alcotest.test_case "map preserves input order at any jobs" `Quick (fun () ->
         let xs = List.init 100 (fun i -> i) in
-        let expect = List.map (fun x -> x * x) xs in
+        let expect = List.map (fun x -> Ok (x * x)) xs in
         List.iter
           (fun jobs ->
-            Alcotest.(check (list int))
+            Alcotest.(check (list (result int string)))
               (Printf.sprintf "jobs=%d" jobs)
               expect
-              (Parallel.map ~jobs (fun x -> x * x) xs))
+              (map_result ~jobs (fun x -> x * x) xs))
           [ 1; 2; 4; 7 ]);
     Alcotest.test_case "empty and singleton inputs" `Quick (fun () ->
-        Alcotest.(check (list int)) "empty" [] (Parallel.map ~jobs:4 (fun x -> x) []);
-        Alcotest.(check (list int)) "singleton" [ 3 ] (Parallel.map ~jobs:4 (fun x -> x + 1) [ 2 ]));
-    Alcotest.test_case "task exceptions propagate to the caller" `Quick (fun () ->
-        Alcotest.check_raises "re-raised" Exit (fun () ->
-            ignore (Parallel.map ~jobs:4 (fun x -> if x = 13 then raise Exit else x) (List.init 40 Fun.id))));
+        Alcotest.(check (list (result int string)))
+          "empty" [] (map_result ~jobs:4 (fun x -> x) []);
+        Alcotest.(check (list (result int string)))
+          "singleton" [ Ok 3 ]
+          (map_result ~jobs:4 (fun x -> x + 1) [ 2 ]));
+    Alcotest.test_case "task exceptions produce an Error in their own slot" `Quick (fun () ->
+        Alcotest.(check (list (result int string)))
+          "the exception stays in slot 13, every other slot completes"
+          (List.init 40 (fun i -> if i = 13 then Error "Stdlib.Exit" else Ok i))
+          (map_result ~jobs:4 (fun x -> if x = 13 then raise Exit else x) (List.init 40 Fun.id)));
     Alcotest.test_case "persistent pool: submit/await over many batches" `Quick (fun () ->
         let pool = Parallel.Pool.create ~jobs:3 () in
         (* several waves through the same workers — the daemon's life *)
@@ -292,20 +301,6 @@ let parallel_tests =
         Alcotest.check_raises "submit after shutdown rejected"
           (Invalid_argument "Parallel.Pool.submit: pool is shut down") (fun () ->
             ignore (Parallel.Pool.submit pool (fun () -> ()))));
-    Alcotest.test_case "map_result rides a shared pool" `Quick (fun () ->
-        let pool = Parallel.Pool.create ~jobs:2 () in
-        let xs = List.init 30 Fun.id in
-        Alcotest.(check (list int))
-          "input order" (List.map (fun x -> x * 3) xs)
-          (List.map
-             (function Ok v -> v | Error e -> raise e)
-             (Parallel.map_result ~pool (fun x -> x * 3) xs));
-        (* the pool survives the batch, unlike the transient path *)
-        Alcotest.(check int) "pool still alive" 7
-          (match Parallel.Pool.await (Parallel.Pool.submit pool (fun () -> 7)) with
-          | Ok v -> v
-          | Error e -> raise e);
-        Parallel.Pool.shutdown pool);
   ]
 
 let metrics_tests =

@@ -511,8 +511,8 @@ let nadroid_exe =
     (Filename.concat "bin" "nadroid.exe")
 
 (* Run the real binary with a clean injection environment plus [faults];
-   stdout captured, stderr discarded. *)
-let run_cli ?(faults = "") args =
+   returns the exit status, stdout and stderr. *)
+let run_cli_err ?(faults = "") args =
   let keep e =
     not
       (String.starts_with ~prefix:(Faultinject.env_var ^ "=") e
@@ -524,18 +524,24 @@ let run_cli ?(faults = "") args =
       @ (if faults = "" then [] else [ Faultinject.env_var ^ "=" ^ faults ]))
   in
   let out = Filename.temp_file "nadroid-crash" ".out" in
+  let err = Filename.temp_file "nadroid-crash" ".err" in
   let out_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o600 in
+  let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
   let pid =
     Unix.create_process_env nadroid_exe
       (Array.of_list (nadroid_exe :: args))
-      env Unix.stdin out_fd null
+      env Unix.stdin out_fd err_fd
   in
   Unix.close out_fd;
-  Unix.close null;
+  Unix.close err_fd;
   let _, status = Unix.waitpid [] pid in
-  let stdout = read_file out in
+  let stdout = read_file out and stderr = read_file err in
   Sys.remove out;
+  Sys.remove err;
+  (status, stdout, stderr)
+
+let run_cli ?faults args =
+  let status, stdout, _ = run_cli_err ?faults args in
   (status, stdout)
 
 (* Three corpus apps as on-disk files plus a golden uninterrupted run. *)
@@ -689,6 +695,62 @@ let stream_sigkill_then_resume_is_byte_identical () =
       Alcotest.(check string) "kill + resume streams identical bytes"
         golden_stream resumed)
 
+(* -- the human report over a multi-file batch ----------------------------- *)
+
+(* A frontend-faulting file in the middle of good ones: every file gets
+   its `== file ==` header in input order, the bad one's diagnostic goes
+   to stderr, the batch exits with the frontend class (1), and stdout
+   does not depend on --jobs. With --timings, each good file's metrics
+   follow its own report even when another domain emits it. *)
+let human_batch_with_faulting_file () =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let path name = Filename.concat dir name in
+      let good =
+        List.filteri (fun i _ -> i < 4) (Lazy.force Corpus.all)
+        |> List.map (fun (a : Corpus.app) ->
+               write_file (path (a.Corpus.name ^ ".mand")) a.Corpus.source;
+               path (a.Corpus.name ^ ".mand"))
+      in
+      let bad = path "Broken.mand" in
+      write_file bad "class Broken extends Activity { method void onCreate( }";
+      let files =
+        List.filteri (fun i _ -> i < 2) good @ (bad :: List.filteri (fun i _ -> i >= 2) good)
+      in
+      let run ?(timings = false) jobs =
+        let flags = if timings then [ "--timings" ] else [] in
+        let status, out, err =
+          run_cli_err ([ "analyze"; "--jobs"; string_of_int jobs ] @ flags @ files)
+        in
+        (match status with
+        | Unix.WEXITED 1 -> ()
+        | s ->
+            Alcotest.failf "jobs=%d must exit 1 (frontend), got %s" jobs
+              (Supervise.status_string s));
+        Alcotest.(check bool) "the diagnostic names the bad file on stderr" true
+          (is_infix (bad ^ ":") err && is_infix "1 of 5 file(s) failed" err);
+        Alcotest.(check bool) "no diagnostic on stdout" false (is_infix "1 of 5" out);
+        out
+      in
+      let markers out =
+        List.filter
+          (fun l -> String.starts_with ~prefix:"== " l || String.equal l "analysis phases:")
+          (String.split_on_char '\n' out)
+      in
+      let header f = Printf.sprintf "== %s ==" f in
+      let out = run 1 in
+      Alcotest.(check (list string))
+        "one header per file, in input order" (List.map header files) (markers out);
+      Alcotest.(check int) "a report per good file" 4
+        (List.length (Astring.String.cuts ~sep:"potential UAFs: " out) - 1);
+      Alcotest.(check string) "stdout at --jobs 2 = --jobs 1" out (run 2);
+      Alcotest.(check (list string))
+        "--timings: metrics right after each good file's report"
+        (List.concat_map
+           (fun f -> if f = bad then [ header f ] else [ header f; "analysis phases:" ])
+           files)
+        (markers (run ~timings:true 2)))
+
 (* -- blast-radius fuzzing ------------------------------------------------ *)
 
 let faultfuzz_smoke () =
@@ -765,6 +827,8 @@ let suite =
           stream_concat_equals_batch_over_corpus;
         Alcotest.test_case "kill -9 mid-stream then --resume is byte-identical" `Quick
           stream_sigkill_then_resume_is_byte_identical;
+        Alcotest.test_case "human report: headers in order, fault on stderr, jobs-invariant"
+          `Quick human_batch_with_faulting_file;
       ] );
     ( "crash-fuzz",
       [ Alcotest.test_case "seeded fuzz over all seams: 0 escapes" `Quick faultfuzz_smoke ]
