@@ -20,23 +20,7 @@ module Filters = Nadroid_core.Filters
 module Classify = Nadroid_core.Classify
 module Threadify = Nadroid_core.Threadify
 module Fault = Nadroid_core.Fault
-module Cache = Nadroid_core.Cache
 module Clock = Nadroid_clock.Clock
-
-(* Corpus batch through the analysis cache (crash-isolated, like
-   {!Corpus.analyze_all}); results are cache entries. The misses share
-   one batch interning table. [max_bytes] caps the cache directory
-   across the batch (LRU eviction after stores). *)
-let analyze_all_cached ?max_bytes ~jobs ~dir (apps : Corpus.app list) :
-    (Corpus.app * (Cache.entry * Cache.outcome, Fault.t) result) list =
-  ignore (Lazy.force Nadroid_lang.Builtins.program);
-  let interner = Pipeline.create_interner () in
-  List.combine apps
-    (List.map (Result.map_error Fault.of_exn)
-       (Nadroid_core.Parallel.map_result ~jobs
-          (fun (a : Corpus.app) ->
-            Cache.analyze ?max_bytes ~interner ~dir ~file:a.Corpus.name a.Corpus.source)
-          apps))
 
 (* ---------------------------------------------------------------- *)
 (* Table 1                                                            *)
@@ -302,29 +286,25 @@ let table3 () =
 
 (* Machine-readable bench point: per-app phase metrics plus aggregate
    totals, one JSON document on stdout. The per-phase times sum to the
-   measured per-app wall time (create_ctx included under filtering).
-   Works on cache entries so the cached and uncached paths share it;
-   served-from-cache entries report the producing (cold) run's
-   metrics. *)
-let timing_json ~jobs ~elapsed entries =
+   measured per-app wall time (create_ctx included under filtering). *)
+let timing_json ~jobs ~elapsed analyzed =
   let buf = Buffer.create 8192 in
   Buffer.add_string buf (Printf.sprintf "{\"jobs\":%d,\"apps\":[" jobs);
   List.iteri
-    (fun i ((app : Corpus.app), (e : Cache.entry)) ->
+    (fun i ((app : Corpus.app), metrics) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Nadroid_core.Report.metrics_to_json ~name:app.Corpus.name e.Cache.e_metrics))
-    entries;
+      Buffer.add_string buf (Nadroid_core.Report.metrics_to_json ~name:app.Corpus.name metrics))
+    analyzed;
   let m, d, f, sum, wall =
     List.fold_left
-      (fun (m, d, f, sum, wall) ((_ : Corpus.app), (e : Cache.entry)) ->
-        let tm = Pipeline.timings_of_metrics e.Cache.e_metrics in
+      (fun (m, d, f, sum, wall) ((_ : Corpus.app), metrics) ->
+        let tm = Pipeline.timings_of_metrics metrics in
         ( m +. tm.Pipeline.t_modeling,
           d +. tm.Pipeline.t_detection,
           f +. tm.Pipeline.t_filtering,
-          sum +. Pipeline.phase_sum e.Cache.e_metrics,
-          wall +. e.Cache.e_metrics.Pipeline.m_wall ))
-      (0.0, 0.0, 0.0, 0.0, 0.0) entries
+          sum +. Pipeline.phase_sum metrics,
+          wall +. metrics.Pipeline.m_wall ))
+      (0.0, 0.0, 0.0, 0.0, 0.0) analyzed
   in
   Buffer.add_string buf
     (Printf.sprintf
@@ -332,22 +312,15 @@ let timing_json ~jobs ~elapsed entries =
        m d f sum wall elapsed);
   print_endline (Buffer.contents buf)
 
-let timing ~jobs ~json ~cache ~cache_max_bytes () =
+let timing ~jobs ~json () =
   (* [elapsed] is the batch wall clock; under [jobs] > 1 the per-app wall
      times overlap, so their sum exceeds it. *)
   let t0 = Clock.now () in
   let analyzed =
-    match cache with
-    | Some dir ->
-        List.map
-          (fun (app, (e, _outcome)) -> (app, e))
-          (Eval.keep_ok ~what:"timing" ~name:Eval.app_name
-             (analyze_all_cached ?max_bytes:cache_max_bytes ~jobs ~dir (Lazy.force Corpus.all)))
-    | None ->
-        List.map
-          (fun (app, t) -> (app, Cache.entry_of_result t))
-          (Eval.keep_ok ~what:"timing" ~name:Eval.app_name
-             (Corpus.analyze_all ~jobs (Lazy.force Corpus.all)))
+    List.map
+      (fun (app, t) -> (app, t.Pipeline.metrics))
+      (Eval.keep_ok ~what:"timing" ~name:Eval.app_name
+         (Corpus.analyze_all ~jobs (Lazy.force Corpus.all)))
   in
   let elapsed = Clock.now () -. t0 in
   if json then timing_json ~jobs ~elapsed analyzed
@@ -356,8 +329,8 @@ let timing ~jobs ~json ~cache ~cache_max_bytes () =
     "Analysis execution time (§8.8: modeling ~1.2%, detection ~95.7%, filtering ~3.1%)";
   let m = ref 0.0 and d = ref 0.0 and f = ref 0.0 in
   List.iter
-    (fun ((_ : Corpus.app), (e : Cache.entry)) ->
-      let tm = Pipeline.timings_of_metrics e.Cache.e_metrics in
+    (fun ((_ : Corpus.app), metrics) ->
+      let tm = Pipeline.timings_of_metrics metrics in
       m := !m +. tm.Pipeline.t_modeling;
       d := !d +. tm.Pipeline.t_detection;
       f := !f +. tm.Pipeline.t_filtering)
@@ -584,39 +557,14 @@ let extension () =
 
 let () =
   (* usage: main.exe [EXPERIMENT] [--jobs N] [--json]
-                     [--cache] [--no-cache] [--cache-dir DIR]
-                     [--cache-max-bytes BYTES]
      --jobs parallelizes the corpus drivers over N domains (default: all
      cores); --json makes `timing` emit a machine-readable point and
-     switches every batch failure inventory to JSON lines on stderr;
-     --cache routes `timing` through the analysis cache under
-     --cache-dir; --cache-max-bytes LRU-evicts the cache to that size
-     after each store. *)
+     switches every batch failure inventory to JSON lines on stderr. *)
   let which = ref "all" and jobs = ref (Nadroid_core.Parallel.default_jobs ()) and json = ref false in
-  let use_cache = ref false
-  and no_cache = ref false
-  and cache_dir = ref Nadroid_core.Cache.default_dir
-  and cache_max_bytes = ref None in
   let rec parse = function
     | [] -> ()
     | "--json" :: rest ->
         json := true;
-        parse rest
-    | "--cache" :: rest ->
-        use_cache := true;
-        parse rest
-    | "--no-cache" :: rest ->
-        no_cache := true;
-        parse rest
-    | "--cache-dir" :: dir :: rest ->
-        cache_dir := dir;
-        parse rest
-    | "--cache-max-bytes" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some b when b >= 0 -> cache_max_bytes := Some b
-        | Some _ | None ->
-            Printf.eprintf "--cache-max-bytes expects a non-negative integer, got %s\n" n;
-            exit 2);
         parse rest
     | "--jobs" :: n :: rest ->
         (match int_of_string_opt n with
@@ -625,14 +573,17 @@ let () =
             Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
             exit 2);
         parse rest
+    | arg :: _ when String.starts_with ~prefix:"-" arg ->
+        (* otherwise a retired or misspelt flag before the experiment
+           name would be silently overwritten by it *)
+        Printf.eprintf "unknown option %s\n" arg;
+        exit 2
     | arg :: rest ->
         which := arg;
         parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
   let jobs = !jobs and json = !json in
-  let cache_max_bytes = !cache_max_bytes in
-  let cache = if !use_cache && not !no_cache then Some !cache_dir else None in
   (* under --json, batch failure inventories also go out as JSON lines *)
   Eval.json_faults := json;
   (* force the shared builtin-program lazy before any domain spawns *)
@@ -643,7 +594,7 @@ let () =
       ("fig5", fig5 ~jobs);
       ("table2", table2 ~jobs);
       ("table3", table3);
-      ("timing", timing ~jobs ~json ~cache ~cache_max_bytes);
+      ("timing", timing ~jobs ~json);
       ("ablation", ablation);
       ("extension", extension);
     ]

@@ -74,15 +74,7 @@ let deadline_arg =
            over-report) or fails with the budget exit code when no sound partial result \
            remains")
 
-let budget_explorer_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "budget-explorer" ] ~docv:"N"
-        ~doc:"cap on dynamic-validation schedules (can only lose witnesses)")
-
-let budgets pta_steps pta_tuples deadline explorer_schedules =
-  { Pipeline.pta_steps; pta_tuples; deadline; explorer_schedules }
+let budgets pta_steps pta_tuples deadline = { Pipeline.pta_steps; pta_tuples; deadline }
 
 (* -- analysis-cache flags (analyze, golden) ------------------------------ *)
 
@@ -207,9 +199,8 @@ let analyze_cmd =
              input order — nothing is accumulated, so memory stays bounded independent of \
              the batch size. Journal/resume compatible. Mutually exclusive with $(b,--json)")
   in
-  let run files k sound_only jobs timings json budget_pta budget_tuples deadline
-      budget_explorer cache no_cache cache_dir cache_max_bytes supervise heartbeat
-      journal_path resume stream =
+  let run files k sound_only jobs timings json budget_pta budget_tuples deadline cache
+      no_cache cache_dir cache_max_bytes supervise heartbeat journal_path resume stream =
     let module Cache = Nadroid_core.Cache in
     let module Journal = Nadroid_core.Journal in
     let module Supervise = Nadroid_core.Supervise in
@@ -218,10 +209,10 @@ let analyze_cmd =
         Pipeline.default_config with
         Pipeline.k;
         unsound = (if sound_only then [] else Filters.unsound);
-        budgets = budgets budget_pta budget_tuples deadline budget_explorer;
+        budgets = budgets budget_pta budget_tuples deadline;
       }
     in
-    let use_cache = cache_enabled cache no_cache in
+    let dir = if cache_enabled cache no_cache then Some cache_dir else None in
     if resume && journal_path = None then begin
       Fmt.epr "--resume needs --journal PATH@.";
       exit 2
@@ -270,18 +261,11 @@ let analyze_cmd =
                 Result.map
                   (fun e -> (e, Cache.Miss))
                   (Supervise.analyze sp ~config
-                     ?cache:
-                       (if use_cache then Some (cache_dir, cache_max_bytes)
-                        else None)
+                     ?cache:(Option.map (fun dir -> (dir, cache_max_bytes)) dir)
                      ~file:path src)
             | None ->
                 Fault.wrap (fun () ->
-                    if use_cache then
-                      Cache.analyze ~config ?max_bytes:cache_max_bytes
-                        ~dir:cache_dir ~file:path src
-                    else
-                      ( Cache.entry_of_result (Pipeline.analyze ~config ~file:path src),
-                        Cache.Miss ))
+                    Cache.analyze ~config ?max_bytes:cache_max_bytes ?dir ~file:path src)
           in
           (match journal with
           | Some (j, _) -> (
@@ -359,8 +343,8 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"statically detect UAF ordering violations")
     Term.(
       const run $ files_arg $ k_arg $ sound_only_arg $ jobs_arg $ timings_arg $ json_arg
-      $ budget_pta_arg $ budget_tuples_arg $ deadline_arg $ budget_explorer_arg $ cache_arg
-      $ no_cache_arg $ cache_dir_arg $ cache_max_bytes_arg $ supervise_arg $ heartbeat_arg
+      $ budget_pta_arg $ budget_tuples_arg $ deadline_arg $ cache_arg $ no_cache_arg
+      $ cache_dir_arg $ cache_max_bytes_arg $ supervise_arg $ heartbeat_arg
       $ journal_arg $ resume_arg $ stream_arg)
 
 (* -- serve / request: the analysis daemon and its client ----------------- *)
@@ -487,7 +471,7 @@ let request_cmd =
              spinning forever")
   in
   let run listen files ping shutdown connect_timeout k sound_only budget_pta budget_tuples
-      deadline budget_explorer cache no_cache =
+      deadline cache no_cache =
     if files = [] && not (ping || shutdown) then begin
       Fmt.epr "nothing to do: give FILEs, --ping or --shutdown@.";
       exit 2
@@ -519,7 +503,6 @@ let request_cmd =
                a_deadline = deadline;
                a_budget_pta = budget_pta;
                a_budget_tuples = budget_tuples;
-               a_budget_explorer = budget_explorer;
                a_cache = (if cache_enabled cache no_cache then Some true else None);
              }))
       files;
@@ -535,19 +518,23 @@ let request_cmd =
     Term.(
       const run $ listen_term $ files_arg $ ping_arg $ shutdown_arg $ connect_timeout_arg
       $ k_arg $ sound_only_arg $ budget_pta_arg $ budget_tuples_arg $ deadline_arg
-      $ budget_explorer_arg $ cache_arg $ no_cache_arg)
+      $ cache_arg $ no_cache_arg)
 
 let validate_cmd =
   let runs_arg =
     Arg.(value & opt int 150 & info [ "runs" ] ~doc:"random schedules per warning")
   in
+  let budget_explorer_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "budget-explorer" ] ~docv:"N"
+          ~doc:"cap on dynamic-validation schedules per warning (can only lose witnesses)")
+  in
   let run path k runs budget_pta budget_tuples deadline budget_explorer =
     let t =
-      analyze_pipeline
-        ~budgets:(budgets budget_pta budget_tuples deadline budget_explorer)
-        path k false
+      analyze_pipeline ~budgets:(budgets budget_pta budget_tuples deadline) path k false
     in
-    (* the explorer budget caps schedules tried per warning *)
     let runs = match budget_explorer with Some b -> min runs b | None -> runs in
     List.iter
       (fun w ->

@@ -1,4 +1,5 @@
-(* Content-addressed on-disk cache for analysis results.
+(* Content-addressed on-disk cache for analysis results, and the one
+   frame codec every persisted or piped record goes through.
 
    A cache entry is addressed by the digest of (source bytes, canonical
    pipeline-config rendering, analyzer version, file name): any change
@@ -10,20 +11,20 @@
    store the *rendered* artifacts — the warning counts, the final report
    string and the cold run's metrics — not the solver state, which keeps
    them small, Marshal-safe and exactly sufficient for every consumer
-   (CLI output, golden canonical reports, bench timing rows).
+   (CLI output, golden canonical reports, the serve daemon).
 
-   Integrity: the payload is guarded by a magic header and a digest; a
-   truncated, corrupted or wrong-format file is reported as [Corrupt]
-   carrying a structured {!Fault.t} and treated by callers as a miss —
-   the cache can serve stale bytes never, wrong bytes never, at worst no
-   bytes. Writes go through a temp file + rename, so a crashed writer
-   leaves no half-written addressable entry. *)
+   Integrity: an entry file is one codec frame (below); a truncated,
+   corrupted, foreign-version or wrong-format file is reported as
+   [Corrupt] carrying a structured {!Fault.t} and treated by callers as
+   a miss — the cache can serve stale bytes never, wrong bytes never, at
+   worst no bytes. Writes go through a temp file + rename, so a crashed
+   writer leaves no half-written addressable entry. *)
 
-(* Bump on any change to analysis semantics or to the entry format —
-   including the layout of [Pipeline.metrics], which entries Marshal;
-   old entries then simply stop being addressed (no migration, no
-   unmarshal of foreign layouts). *)
-let version = "nadroid-7"
+(* Bump on any change to analysis semantics or to a framed record's
+   layout — the cache entry, the journal record, the worker request and
+   reply, and [Pipeline.metrics], which entries embed. Every frame
+   carries it, and a frame of another version is never unmarshalled. *)
+let version = "nadroid-8"
 
 let default_dir = "_nadroid_cache"
 
@@ -37,6 +38,87 @@ type entry = {
 
 type outcome = Hit | Miss | Corrupt of Fault.t
 
+(* -- the frame codec ------------------------------------------------------ *)
+
+(* Every record that leaves the process — a cache entry file, a journal
+   record, a supervised worker's request or reply — is one frame:
+
+     nadroid-<kind> <version> <payload-md5-hex> <payload-len>\n<payload>\n
+
+   The payload is the Marshal of the record. Marshal decodes any bytes
+   as whatever type the caller asks for, so a frame is unmarshalled only
+   after its kind (naming the record type), its version (naming the
+   record layout), its length, its terminator and its checksum all check
+   out. This is the only Marshal in the program. *)
+
+type 'a kind = string
+
+let kind name = name
+
+let entry_kind : entry kind = kind "cache"
+
+let encode (kind : 'a kind) (v : 'a) : string =
+  let payload = Marshal.to_string v [] in
+  Printf.sprintf "nadroid-%s %s %s %d\n%s\n" kind version
+    (Digest.to_hex (Digest.string payload))
+    (String.length payload) payload
+
+type header_error = Noise | Bad of string
+
+(* Checksum and payload length of a [kind] header line of this version.
+   A four-token line tagged [nadroid-] is a frame header even when its
+   kind is another: such a line is a frame of another type or of another
+   build (the retired [nadroid-worker 1] included), never noise. The
+   length stays below [max_int], so adding the terminator cannot wrap. *)
+let parse_header kind line =
+  let tag = "nadroid-" ^ kind in
+  match String.split_on_char ' ' line with
+  | [ t; _; _; _ ] when String.starts_with ~prefix:"nadroid-" t && not (String.equal t tag) ->
+      Error (Bad (Printf.sprintf "%s frame, not %s" t tag))
+  | t :: _ when not (String.equal t tag) -> Error Noise
+  | _ :: v :: _ when not (String.equal v version) ->
+      Error (Bad (Printf.sprintf "%s frame of version %s, not %s" kind v version))
+  | [ _; _; digest; len ] -> (
+      match int_of_string_opt len with
+      | Some n when n >= 0 && n < max_int -> Ok (digest, n)
+      | _ -> Error (Bad "malformed frame header"))
+  | _ -> Error (Bad "malformed frame header")
+
+let header kind line = Result.map (fun (_, n) -> n + 1) (parse_header kind line)
+
+let decode (kind : 'a kind) s pos : ('a * int, string) result =
+  match String.index_from_opt s pos '\n' with
+  | None -> Error "truncated frame header"
+  | Some nl -> (
+      match parse_header kind (String.sub s pos (nl - pos)) with
+      | Error Noise -> Error ("not a " ^ kind ^ " frame")
+      | Error (Bad why) -> Error why
+      | Ok (digest, len) -> (
+          let p = nl + 1 in
+          (* [len] may be near [max_int]: compare without adding *)
+          if len > String.length s - p - 1 then Error "truncated frame payload"
+          else if s.[p + len] <> '\n' then Error "bad frame terminator"
+          else if not (String.equal digest (Digest.to_hex (Digest.substring s p len))) then
+            Error "frame checksum mismatch"
+          else
+            match Marshal.from_string s p with
+            | v -> Ok (v, p + len + 1)
+            | exception _ -> Error "undecodable frame payload"))
+
+let read_file p =
+  let ic = open_in_bin p in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let rec mkdir_p d =
+  if not (Sys.file_exists d) then begin
+    mkdir_p (Filename.dirname d);
+    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
+(* -- entries --------------------------------------------------------------- *)
+
 (* Canonical rendering of everything in a config that can influence the
    result. Budgets are included: a budget-degraded report is a different
    (still sound) report. *)
@@ -44,12 +126,11 @@ let config_digest (c : Pipeline.config) : string =
   let names ns = String.concat "+" (List.map Filters.name_to_string ns) in
   let opt f = function None -> "-" | Some v -> f v in
   Printf.sprintf
-    "k=%d;sound=%s;unsound=%s;atomic_ig=%b;pta_steps=%s;pta_tuples=%s;deadline=%s;sched=%s;solver=%s"
+    "k=%d;sound=%s;unsound=%s;atomic_ig=%b;pta_steps=%s;pta_tuples=%s;deadline=%s;solver=%s"
     c.Pipeline.k (names c.Pipeline.sound) (names c.Pipeline.unsound) c.Pipeline.atomic_ig
     (opt string_of_int c.Pipeline.budgets.Pipeline.pta_steps)
     (opt string_of_int c.Pipeline.budgets.Pipeline.pta_tuples)
     (opt string_of_float c.Pipeline.budgets.Pipeline.deadline)
-    (opt string_of_int c.Pipeline.budgets.Pipeline.explorer_schedules)
     (match c.Pipeline.solver with
     | Nadroid_analysis.Pta.Worklist -> "worklist"
     | Nadroid_analysis.Pta.Reference -> "reference")
@@ -63,8 +144,6 @@ let address ~config ~file src = digest [ key ~config src; file ]
 
 let path ~dir k = Filename.concat dir (k ^ ".cache")
 
-let magic = "nadroid-cache 1"
-
 let corrupt what = Corrupt (Fault.Internal (Printf.sprintf "cache: %s" what))
 
 let find ~dir (k : string) : entry option * outcome =
@@ -73,40 +152,21 @@ let find ~dir (k : string) : entry option * outcome =
   else
     match
       Faultinject.trip Faultinject.Cache_read;
-      let ic = open_in_bin p in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+      read_file p
     with
     | exception e ->
         (None, corrupt (Printf.sprintf "unreadable entry %s (%s)" p (Printexc.to_string e)))
     | raw -> (
-        match String.index_opt raw '\n' with
-        | None -> (None, corrupt ("truncated entry " ^ p))
-        | Some nl -> (
-            let header = String.sub raw 0 nl in
-            let payload = String.sub raw (nl + 1) (String.length raw - nl - 1) in
-            match String.split_on_char ' ' header with
-            | [ m1; m2; digest ] when String.equal (m1 ^ " " ^ m2) magic ->
-                if not (String.equal digest (Digest.to_hex (Digest.string payload))) then
-                  (None, corrupt ("checksum mismatch in " ^ p))
-                else (
-                  match (Marshal.from_string payload 0 : entry) with
-                  | e ->
-                      (* touch the entry so LRU eviction tracks hits, not
-                         just stores; [utimes p 0 0] sets both times to
-                         "now". Best-effort: a racing eviction may have
-                         removed the file already. *)
-                      (try Unix.utimes p 0.0 0.0 with Unix.Unix_error _ -> ());
-                      (Some e, Hit)
-                  | exception _ -> (None, corrupt ("undecodable entry " ^ p)))
-            | _ -> (None, corrupt ("bad header in " ^ p))))
-
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+        match decode entry_kind raw 0 with
+        | Ok (e, n) when n = String.length raw ->
+            (* touch the entry so LRU eviction tracks hits, not just
+               stores; [utimes p 0 0] sets both times to "now".
+               Best-effort: a racing eviction may have removed the file
+               already. *)
+            (try Unix.utimes p 0.0 0.0 with Unix.Unix_error _ -> ());
+            (Some e, Hit)
+        | Ok _ -> (None, corrupt ("trailing bytes in " ^ p))
+        | Error why -> (None, corrupt (Printf.sprintf "%s in %s" why p)))
 
 (* Per-process store counter: two domains of one process share a pid, so
    a pid-only temp name let concurrent stores of the same key interleave
@@ -116,10 +176,6 @@ let store_seq = Atomic.make 0
 let store ~dir (k : string) (e : entry) : unit =
   Faultinject.trip Faultinject.Cache_write;
   mkdir_p dir;
-  let payload = Marshal.to_string e [] in
-  let header =
-    Printf.sprintf "%s %s\n" magic (Digest.to_hex (Digest.string payload))
-  in
   let tmp =
     Filename.concat dir
       (Printf.sprintf ".tmp.%s.%d.%d" k (Unix.getpid ()) (Atomic.fetch_and_add store_seq 1))
@@ -127,9 +183,7 @@ let store ~dir (k : string) (e : entry) : unit =
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc header;
-      output_string oc payload);
+    (fun () -> output_string oc (encode entry_kind e));
   (match Faultinject.trip Faultinject.Cache_rename with
   | () -> ()
   | exception e ->
@@ -245,36 +299,38 @@ let entry_of_result (t : Pipeline.t) : entry =
     e_metrics = t.Pipeline.metrics;
   }
 
-(* Cached front door: serve the entry on a hit, otherwise analyze, store
-   and return the fresh entry. The outcome tells the caller whether the
-   result came from the cache and whether a corrupt entry was replaced —
-   a corrupt entry never influences the returned result. [max_bytes]
-   caps the directory size: eviction runs opportunistically after each
-   store, and the just-stored entry carries the newest mtime, so it is
-   the last candidate to go. A run that degraded under a wall-clock
-   deadline is returned but not stored: how far it got depends on host
-   speed, so a later run with the same address may well complete. *)
-let analyze ?config ?max_bytes ?interner ~dir ~file (src : string) : entry * outcome =
+(* The cached-or-plain front door. Without [dir] it is the plain
+   pipeline, its entry reported as a [Miss]. With [dir] it serves the
+   entry on a hit, otherwise analyzes, stores and returns the fresh
+   entry. The outcome tells the caller whether the result came from the
+   cache and whether a corrupt entry was replaced — a corrupt entry
+   never influences the returned result. [max_bytes] caps the directory
+   size: eviction runs opportunistically after each store, and the
+   just-stored entry carries the newest mtime, so it is the last
+   candidate to go. A run that degraded under a wall-clock deadline is
+   returned but not stored: how far it got depends on host speed, so a
+   later run with the same address may well complete. *)
+let analyze ?config ?max_bytes ?interner ?dir ~file (src : string) : entry * outcome =
   let config = Option.value config ~default:Pipeline.default_config in
-  sweep_on_open ~dir;
-  let k = address ~config ~file src in
-  match find ~dir k with
-  | Some e, Hit -> (e, Hit)
-  | _, ((Miss | Corrupt _) as outcome) ->
-      (* [interner] stays out of the cache key on purpose: sharing a
-         batch symbol table never changes the produced entry *)
-      let t = Pipeline.analyze ~config ?interner ~file src in
-      let e = entry_of_result t in
-      let timed = config.Pipeline.budgets.Pipeline.deadline <> None in
-      (* persistence is best-effort: a failed store (disk full, injected
-         I/O fault) costs the next run a recompute, never this run its
-         already-computed result *)
-      if not (timed && e.e_metrics.Pipeline.m_degraded <> []) then (
-        try
-          store ~dir k e;
-          match max_bytes with
-          | Some mb -> ignore (evict ~dir ~max_bytes:mb)
-          | None -> ()
-        with Sys_error _ | Unix.Unix_error _ -> ());
-      (e, outcome)
-  | None, Hit -> assert false
+  (* [interner] stays out of the cache key on purpose: sharing a batch
+     symbol table never changes the produced entry *)
+  let fresh () = entry_of_result (Pipeline.analyze ~config ?interner ~file src) in
+  match dir with
+  | None -> (fresh (), Miss)
+  | Some dir -> (
+      sweep_on_open ~dir;
+      let k = address ~config ~file src in
+      match find ~dir k with
+      | Some e, _ -> (e, Hit)
+      | None, outcome ->
+          let e = fresh () in
+          let timed = config.Pipeline.budgets.Pipeline.deadline <> None in
+          (* persistence is best-effort: a failed store (disk full,
+             injected I/O fault) costs the next run a recompute, never
+             this run its already-computed result *)
+          if not (timed && e.e_metrics.Pipeline.m_degraded <> []) then (
+            try
+              store ~dir k e;
+              Option.iter (fun mb -> ignore (evict ~dir ~max_bytes:mb)) max_bytes
+            with Sys_error _ | Unix.Unix_error _ -> ());
+          (e, outcome))

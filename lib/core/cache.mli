@@ -1,16 +1,19 @@
-(** Content-addressed on-disk cache for analysis results.
+(** Content-addressed on-disk cache for analysis results, and the frame
+    codec of every record the program persists or pipes.
 
     Entries are addressed by [Digest (source, config rendering, analyzer
     version, file name)] and store the rendered artifacts of one analysis — warning
     counts, the final report string and the producing run's metrics — so
     a warm re-run of an unchanged input skips analysis entirely while
-    staying byte-identical to the cold run. Corrupt or truncated entries
-    are reported as {!Corrupt} (carrying a {!Fault.t}) and treated as
-    misses: the cache never yields a wrong report. *)
+    staying byte-identical to the cold run. Corrupt, truncated or
+    foreign-version entries are reported as {!Corrupt} (carrying a
+    {!Fault.t}) and treated as misses: the cache never yields a wrong
+    report. *)
 
 val version : string
-(** Analyzer version baked into every address; bumping it busts the
-    whole cache. *)
+(** Analyzer and record-layout version, baked into every address and
+    every frame; bumping it busts the whole cache and retires every
+    journal written before. *)
 
 val default_dir : string
 (** ["_nadroid_cache"]. *)
@@ -24,6 +27,55 @@ type entry = {
 }
 
 type outcome = Hit | Miss | Corrupt of Fault.t
+
+(** {2 Frame codec}
+
+    One frame format for cache entry files, journal records and the
+    supervised worker's requests and replies:
+
+    {v nadroid-<kind> <version> <payload-md5-hex> <payload-len>\n<payload>\n v}
+
+    The payload is the Marshal of the record. {!decode} unmarshals it
+    only after the kind, the version ({!version}), the length, the
+    terminator and the checksum check out, so a record written by
+    another build, of another type, or torn by a crash is an error,
+    never a value. *)
+
+type 'a kind
+(** A record type's frame tag. Declare each kind once, next to its type,
+    and use no name for two types: the name is what ties the bytes to
+    the type. *)
+
+val kind : string -> 'a kind
+(** [kind name] tags frames [nadroid-<name>]; [name] has no spaces. *)
+
+val encode : 'a kind -> 'a -> string
+(** One whole frame. *)
+
+type header_error =
+  | Noise  (** not a frame header at all *)
+  | Bad of string
+      (** a frame header of another kind or another version, or a
+          malformed header of this kind *)
+
+val header : 'a kind -> string -> (int, header_error) result
+(** Classify a header line (without its newline): [Ok n] when it heads a
+    frame of this kind and version, whose remaining [n] bytes (payload
+    and terminator) follow the newline. *)
+
+val decode : 'a kind -> string -> int -> ('a * int, string) result
+(** [decode kind s pos] is the value of the frame starting at [pos] and
+    the offset just past it, or why there is no valid frame there. *)
+
+(** {2 Files} Shared with {!Journal}. *)
+
+val read_file : string -> string
+(** Whole contents of a file; raises [Sys_error]. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents. *)
+
+(** {2 Entries} *)
 
 val config_digest : Pipeline.config -> string
 (** Canonical rendering of every result-influencing config field. *)
@@ -46,8 +98,9 @@ val path : dir:string -> string -> string
 val find : dir:string -> string -> entry option * outcome
 (** Look an address up. [(Some e, Hit)] on an intact entry; [(None,
     Miss)] when absent; [(None, Corrupt f)] when present but unreadable,
-    truncated, checksum-broken or undecodable. A hit touches the entry's
-    mtime so LRU eviction tracks recency of use, not just of storage. *)
+    truncated, checksum-broken, of another version or undecodable. A hit
+    touches the entry's mtime so LRU eviction tracks recency of use, not
+    just of storage. *)
 
 val store : dir:string -> string -> entry -> unit
 (** Write an entry atomically (temp file + rename), creating [dir] as
@@ -79,11 +132,13 @@ val analyze :
   ?config:Pipeline.config ->
   ?max_bytes:int ->
   ?interner:Pipeline.interner ->
-  dir:string ->
+  ?dir:string ->
   file:string ->
   string ->
   entry * outcome
-(** Cached {!Pipeline.analyze}: serve the entry on a hit; otherwise (miss
+(** {!Pipeline.analyze}, cached or plain: every caller that may or may
+    not use the cache goes through here. Without [dir], the fresh entry
+    and [Miss]. With [dir], serve the entry on a hit; otherwise (miss
     or corrupt entry) analyze, store and return the fresh entry together
     with the outcome that forced the work. Analysis faults propagate
     as exceptions exactly like {!Pipeline.analyze}. [max_bytes] runs

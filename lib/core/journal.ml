@@ -1,25 +1,27 @@
 (* Append-only checkpoint journal for batch runs.
 
    Each completed app — success or structured fault — is appended as one
-   checksummed record in the [Cache.store] framing idiom:
+   {!Cache} codec frame of kind [journal]:
 
-     nadroid-journal 1 <payload-md5-hex> <payload-len>\n<payload>\n
+     nadroid-journal <Cache.version> <payload-md5-hex> <payload-len>\n<payload>\n
 
-   The payload is the Marshal of a {!record}; the digest guards against
-   bit rot and, more importantly, against the half-written tail a
-   [kill -9] mid-append leaves behind. Replay scans the longest valid
-   prefix and stops at the first record that fails to frame, parse or
-   checksum — everything before that point was flushed before the crash
-   and is trusted; everything after is garbage and is truncated away
-   when the journal is reopened for appending.
+   The checksum guards against bit rot and, more importantly, against
+   the half-written tail a [kill -9] mid-append leaves behind; the
+   version keeps a journal written by another build from being
+   unmarshalled. Replay scans the longest valid prefix and stops at the
+   first record that fails to decode — everything before that point was
+   flushed before the crash and is trusted; everything after is garbage
+   and is truncated away when the journal is reopened for appending.
+
+   The journal stays one log rather than a directory of cache files: an
+   append is one buffered write and a flush, where a cache store is a
+   temp file, a write and a rename.
 
    Appends are serialized by a mutex (batch tasks run on multiple
    domains) and flushed immediately: a flush hands the bytes to the
    kernel, so they survive the *process* dying (the durability target
    here — SIGKILL, SIGSEGV, OOM), even though they could still be lost
    to a whole-machine power cut. *)
-
-let magic = "nadroid-journal 1"
 
 type record = {
   j_name : string;  (** the app/file name as the batch addressed it *)
@@ -29,68 +31,27 @@ type record = {
 
 type t = { path : string; oc : out_channel; m : Mutex.t }
 
-let frame payload =
-  Printf.sprintf "%s %s %d\n%s\n" magic
-    (Digest.to_hex (Digest.string payload))
-    (String.length payload) payload
-
-let parse_header line =
-  match String.split_on_char ' ' line with
-  | [ m1; m2; digest; len ] when String.equal (m1 ^ " " ^ m2) magic ->
-      Option.map (fun n -> (digest, n)) (int_of_string_opt len)
-  | _ -> None
+let kind : record Cache.kind = Cache.kind "journal"
 
 (* Longest valid record prefix of [raw], with its byte length. *)
 let scan raw =
-  let n = String.length raw in
   let rec go pos acc =
-    if pos >= n then (List.rev acc, pos)
-    else
-      match String.index_from_opt raw pos '\n' with
-      | None -> (List.rev acc, pos)
-      | Some nl -> (
-          match parse_header (String.sub raw pos (nl - pos)) with
-          | None -> (List.rev acc, pos)
-          | Some (digest, len) ->
-              let pstart = nl + 1 in
-              if len < 0 || pstart + len + 1 > n then (List.rev acc, pos)
-              else
-                let payload = String.sub raw pstart len in
-                if
-                  raw.[pstart + len] <> '\n'
-                  || not
-                       (String.equal digest
-                          (Digest.to_hex (Digest.string payload)))
-                then (List.rev acc, pos)
-                else (
-                  match (Marshal.from_string payload 0 : record) with
-                  | r -> go (pstart + len + 1) (r :: acc)
-                  | exception _ -> (List.rev acc, pos)))
+    match Cache.decode kind raw pos with
+    | Ok (r, next) -> go next (r :: acc)
+    | Error _ -> (List.rev acc, pos)
   in
   go 0 []
 
-let read_raw path =
-  match open_in_bin path with
-  | exception Sys_error _ -> ""
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+let read path = try Cache.read_file path with Sys_error _ -> ""
 
-let replay ~path = fst (scan (read_raw path))
-
-let rec mkdir_p d =
-  if not (Sys.file_exists d) then begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let replay ~path = fst (scan (read path))
 
 let open_ ~path ~resume : t * record list =
   let dir = Filename.dirname path in
-  if not (String.equal dir "") then mkdir_p dir;
+  if not (String.equal dir "") then Cache.mkdir_p dir;
   let records =
     if resume then begin
-      let records, valid = scan (read_raw path) in
+      let records, valid = scan (read path) in
       (* chop the garbage tail a crashed appender left, so the reopened
          journal stays a pure valid prefix *)
       (if Sys.file_exists path then
@@ -114,7 +75,7 @@ let append t (r : record) : unit =
     ~finally:(fun () -> Mutex.unlock t.m)
     (fun () ->
       Faultinject.trip ~key:r.j_name Faultinject.Journal_append;
-      output_string t.oc (frame (Marshal.to_string r []));
+      output_string t.oc (Cache.encode kind r);
       (* flush per record: the bytes must survive the process, not wait
          for a buffer that dies with it *)
       flush t.oc)

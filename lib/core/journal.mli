@@ -1,11 +1,11 @@
 (** Append-only checkpoint journal for batch runs.
 
     Every completed app — success or structured fault — is appended as
-    one checksummed, length-framed record (the {!Cache.store} framing
-    idiom) and flushed, so it survives the process being killed at any
-    instant. Replay recovers the longest valid record prefix; the
-    half-written tail of a crashed append fails its checksum and is
-    truncated away on reopen. A batch run with [--resume] replays the
+    one {!Cache} codec frame of kind [journal] and flushed, so it
+    survives the process being killed at any instant. Replay recovers
+    the longest valid record prefix; the half-written tail of a crashed
+    append fails its checksum and is truncated away on reopen, and a
+    record of another {!Cache.version} ends the prefix the same way. A batch run with [--resume] replays the
     journal and re-analyzes only the apps whose record is missing or
     whose {!Cache.key} changed, producing output byte-identical to an
     uninterrupted run. *)
@@ -36,10 +36,9 @@ val close : t -> unit
 
 val replay : path:string -> record list
 (** The longest valid record prefix of the journal at [path]; [[]] if
-    the file is absent or starts with garbage. Read-only. *)
+    the file is absent, starts with garbage or was written by another
+    version. Read-only. *)
 
 val latest : record list -> (string, record) Hashtbl.t
 (** Index records by [j_name], last record winning — a resumed run may
     have journaled an app once per attempt. *)
-
-val magic : string

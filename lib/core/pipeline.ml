@@ -19,17 +19,14 @@ module Clock = Nadroid_clock.Clock
    enforced in-flight — inside the PTA worklist, thread-forest
    expansion, detection, and the per-warning filter loops — so an
    expired deadline cancels the running phase instead of waiting for a
-   phase boundary; [explorer_schedules] caps dynamic validation and is
-   threaded through to the explorer by the drivers. *)
+   phase boundary. *)
 type budgets = {
   pta_steps : int option;
   pta_tuples : int option;
   deadline : float option;
-  explorer_schedules : int option;
 }
 
-let no_budgets =
-  { pta_steps = None; pta_tuples = None; deadline = None; explorer_schedules = None }
+let no_budgets = { pta_steps = None; pta_tuples = None; deadline = None }
 
 type config = {
   k : int;  (** k-object-sensitivity depth (paper default: 2) *)

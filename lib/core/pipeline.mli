@@ -29,9 +29,6 @@ type budgets = {
           ladder), thread-forest expansion and detection (hard faults —
           partial results there would lose coverage), and the
           per-warning filter loops (remaining filters are skipped) *)
-  explorer_schedules : int option;
-      (** cap on dynamic-validation schedules, threaded to the explorer
-          by the drivers (not enforced by {!analyze_prog} itself) *)
 }
 
 val no_budgets : budgets

@@ -16,24 +16,22 @@
      call {!worker_check} as their first statement: in a marked process
      it runs the worker loop on stdin/stdout and never returns.
 
-   - The request/reply protocol is Marshal in the checksummed,
-     length-framed [Cache.store] idiom over the two pipes. Requests
-     carry (file, source, config, cache settings); replies carry
+   - Requests and replies are {!Cache} codec frames over the two pipes,
+     of kinds [worker-request] and [worker-reply]. Requests carry (file,
+     source, config, cache settings); replies carry
      [(Cache.entry, Fault.t) result] — entries and faults are plain
      data, safe to Marshal, unlike a full [Pipeline.t].
 
    - The supervisor (any calling domain) checks a worker out, writes the
      request, and reads the reply with an optional heartbeat deadline.
-     A worker that exits, dies on a signal, garbles a frame or misses
-     the heartbeat is SIGKILLed, reaped and replaced; the request is
-     retried on a fresh worker once. An app that takes down two
-     consecutive workers is quarantined — its entry becomes a
-     [Fault.Internal] naming the crash — because retrying a
-     deterministic crasher forever would stall the fleet. *)
+     A worker that exits, dies on a signal, garbles a frame, answers
+     under another version or misses the heartbeat is SIGKILLed, reaped
+     and replaced; the request is retried on a fresh worker once. An
+     app that takes down two consecutive workers is quarantined — its
+     entry becomes a [Fault.Internal] naming the crash — because
+     retrying a deterministic crasher forever would stall the fleet. *)
 
 let env_var = "NADROID_SUPERVISED_WORKER"
-
-let magic = "nadroid-worker 1"
 
 type request = {
   q_file : string;
@@ -44,18 +42,11 @@ type request = {
 
 type reply = (Cache.entry, Fault.t) result
 
-(* -- framing over raw fds -------------------------------------------------- *)
+let request_kind : request Cache.kind = Cache.kind "worker-request"
 
-let frame payload =
-  Printf.sprintf "%s %s %d\n%s\n" magic
-    (Digest.to_hex (Digest.string payload))
-    (String.length payload) payload
+let reply_kind : reply Cache.kind = Cache.kind "worker-reply"
 
-let parse_header line =
-  match String.split_on_char ' ' line with
-  | [ m1; m2; digest; len ] when String.equal (m1 ^ " " ^ m2) magic ->
-      Option.map (fun n -> (digest, n)) (int_of_string_opt len)
-  | _ -> None
+(* -- frames over raw fds --------------------------------------------------- *)
 
 exception Timeout
 
@@ -125,40 +116,39 @@ let read_into ?deadline fd buf n =
   in
   go n
 
-(* One frame from [fd]. [None] on clean EOF at a frame boundary; raises
-   [Failure] on a garbled frame, [Timeout] past the deadline. Lines that
-   are not frame headers are skipped (up to a cap): a host binary's
-   module initializers — test harnesses especially — may print to
-   stdout before the worker loop claims the reply pipe, and that noise
-   must not read as worker death. The payload checksum still guards
-   every byte that matters. *)
-let read_frame ?deadline fd : string option =
+(* The value of one [kind] frame from [fd]. [None] on clean EOF at a
+   frame boundary; raises [Failure] on a garbled frame, [Timeout] past
+   the deadline. Lines that are not frame headers are skipped (up to a
+   cap): a host binary's module initializers — test harnesses
+   especially — may print to stdout before the worker loop claims the
+   reply pipe, and that noise must not read as worker death. A frame
+   header of another kind or version fails at once: the other end runs
+   another build, whose payload must not be unmarshalled, and skipping
+   it as noise would wait for a frame that never comes. *)
+let read_frame (kind : 'a Cache.kind) ?deadline fd : 'a option =
   let rec frames skipped =
     if skipped > 1_000_000 then failwith "no frame in 1MB of pipe output";
     let buf = Buffer.create 256 in
-    (* header: read byte-wise up to the newline (headers are ~60 bytes
-       and there is exactly one request in flight, so not a hot path) *)
-    let rec header () =
+    (* read byte-wise up to the newline (headers are ~70 bytes and
+       there is exactly one request in flight, so not a hot path) *)
+    let rec line () =
       let before = Buffer.length buf in
       if not (read_into ?deadline fd buf 1) then
         if before = 0 then None else failwith "truncated frame header"
       else if Buffer.nth buf before = '\n' then Some (Buffer.sub buf 0 before)
-      else header ()
+      else line ()
     in
-    match header () with
+    match line () with
     | None -> None
     | Some line -> (
-        match parse_header line with
-        | None -> frames (skipped + String.length line + 1)
-        | Some (digest, len) ->
-            let body = Buffer.create (len + 1) in
-            if not (read_into ?deadline fd body (len + 1)) then
-              failwith "truncated frame payload";
-            let payload = Buffer.sub body 0 len in
-            if Buffer.nth body len <> '\n' then failwith "bad frame terminator";
-            if not (String.equal digest (Digest.to_hex (Digest.string payload)))
-            then failwith "frame checksum mismatch";
-            Some payload)
+        match Cache.header kind line with
+        | Error Cache.Noise -> frames (skipped + String.length line + 1)
+        | Error (Cache.Bad why) -> failwith why
+        | Ok rest -> (
+            if not (read_into ?deadline fd buf rest) then failwith "truncated frame payload";
+            match Cache.decode kind (Buffer.contents buf) 0 with
+            | Ok (v, _) -> Some v
+            | Error why -> failwith why))
   in
   frames 0
 
@@ -172,11 +162,8 @@ let analyze_request (q : request) : reply =
          structured fault in this app's entry; [Kill]/[Abort]/[Wedge]
          manufacture the crashes the supervisor exists to survive *)
       Faultinject.trip ~key:(Filename.basename q.q_file) Faultinject.Worker_task;
-      match q.q_cache with
-      | Some (dir, max_bytes) ->
-          fst (Cache.analyze ~config:q.q_config ?max_bytes ~dir ~file:q.q_file q.q_source)
-      | None ->
-          Cache.entry_of_result (Pipeline.analyze ~config:q.q_config ~file:q.q_file q.q_source))
+      let dir = Option.map fst q.q_cache and max_bytes = Option.bind q.q_cache snd in
+      fst (Cache.analyze ~config:q.q_config ?max_bytes ?dir ~file:q.q_file q.q_source))
 
 let worker_main () =
   (* claim the reply pipe: move it to a private fd and point fd 1 at
@@ -193,12 +180,10 @@ let worker_main () =
       exit 2);
   ignore (Lazy.force Nadroid_lang.Builtins.program);
   let rec loop () =
-    match read_frame Unix.stdin with
+    match read_frame request_kind Unix.stdin with
     | None -> exit 0
-    | Some payload ->
-        let q : request = Marshal.from_string payload 0 in
-        let r = analyze_request q in
-        write_all reply_fd (frame (Marshal.to_string (r : reply) []));
+    | Some q ->
+        write_all reply_fd (Cache.encode reply_kind (analyze_request q));
         loop ()
   in
   try loop ()
@@ -368,19 +353,19 @@ let replace t w : string =
       Mutex.unlock t.m);
   status
 
-(* One attempt on one checked-out worker. [Ok payload] is a fully framed
-   reply; [Error reason] means the worker is unusable (dead, wedged,
-   garbled) and must be replaced. One heartbeat deadline bounds the
+(* One attempt on one checked-out worker. [Ok reply] is a decoded reply;
+   [Error reason] means the worker is unusable (dead, wedged, garbled,
+   another build) and must be replaced. One heartbeat deadline bounds the
    whole exchange — writing the request as much as reading the reply,
    since a wedged worker can stop consuming either pipe. *)
-let attempt t w payload : (string, string) result =
+let attempt t w request : (reply, string) result =
   let deadline =
     Option.map (fun h -> Nadroid_clock.Clock.now () +. h) t.heartbeat
   in
   match
-    write_all ?deadline w.w_in (frame payload);
+    write_all ?deadline w.w_in request;
     Faultinject.trip Faultinject.Worker_pipe_read;
-    read_frame ?deadline w.w_out
+    read_frame reply_kind ?deadline w.w_out
   with
   | Some reply -> Ok reply
   | None -> Error "worker closed the pipe"
@@ -393,8 +378,9 @@ let attempt t w payload : (string, string) result =
       Error (Printf.sprintf "worker pipe: %s" (Unix.error_message e))
 
 let analyze t ~(config : Pipeline.config) ?cache ~file (source : string) : reply =
-  let payload =
-    Marshal.to_string { q_file = file; q_source = source; q_config = config; q_cache = cache } []
+  let request =
+    Cache.encode request_kind
+      { q_file = file; q_source = source; q_config = config; q_cache = cache }
   in
   let rec go crashes =
     match checkout t with
@@ -404,12 +390,10 @@ let analyze t ~(config : Pipeline.config) ?cache ~file (source : string) : reply
              (if t.down then "supervisor is shut down"
               else "supervisor has no live workers"))
     | Some w -> (
-        match attempt t w payload with
-        | Ok reply -> (
+        match attempt t w request with
+        | Ok reply ->
             checkin t w;
-            match (Marshal.from_string reply 0 : reply) with
-            | r -> r
-            | exception _ -> Error (Fault.Internal "undecodable worker reply"))
+            reply
         | Error reason ->
             let status = replace t w in
             let crashes = crashes + 1 in

@@ -5,9 +5,9 @@
     exceptions; it cannot catch a SIGSEGV, an OOM-kill, or a wedged
     analysis. A supervised pool runs each app in a child process
     (fork+exec of [Sys.executable_name] with an environment marker) and
-    talks to it over pipes with checksummed Marshal framing. A child
-    that exits, dies on a signal, garbles a frame or misses the
-    heartbeat is killed, reaped and replaced, and the request retries
+    talks to it over pipes in {!Cache} codec frames. A child that
+    exits, dies on a signal, garbles a frame, answers under another
+    {!Cache.version} or misses the heartbeat is killed, reaped and replaced, and the request retries
     once on a fresh worker; an app that crashes two consecutive workers
     is quarantined as a [Fault.Internal] entry. One app's death can
     therefore never cost more than its own entry.
@@ -58,7 +58,8 @@ val shutdown : t -> unit
 
 (**/**)
 
-val magic : string
+val reply_kind : (Cache.entry, Fault.t) result Cache.kind
+(** The frame kind of a worker's reply (tests). *)
 
 val signal_name : int -> string
 

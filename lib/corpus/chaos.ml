@@ -305,7 +305,6 @@ let fuzz_config ~deadline : Pipeline.config =
         Pipeline.pta_steps = Some default_pta_steps;
         pta_tuples = None;
         deadline = Some deadline;
-        explorer_schedules = None;
       };
   }
 

@@ -18,9 +18,6 @@ let canonical_of_entry (app : Corpus.app) (e : Cache.entry) : string =
     app.Corpus.name e.Cache.e_potential e.Cache.e_after_sound e.Cache.e_after_unsound
     e.Cache.e_report
 
-let canonical (app : Corpus.app) (t : Pipeline.t) : string =
-  canonical_of_entry app (Cache.entry_of_result t)
-
 let filename (app : Corpus.app) = app.Corpus.name ^ ".expected"
 
 (* Canonical report for every corpus app; a corpus app failing to
@@ -30,30 +27,21 @@ let filename (app : Corpus.app) = app.Corpus.name ^ ".expected"
    prints, so a warm pass is byte-identical to a cold one (the CI
    cold-then-warm gate). *)
 let render_all ?jobs ?cache_dir () : (Corpus.app * string) list =
-  match cache_dir with
-  | None ->
-      List.map
-        (fun (app, r) ->
-          match r with
-          | Ok t -> (app, canonical app t)
-          | Error f -> raise (Fault.Fault f))
-        (Corpus.analyze_all ?jobs (Lazy.force Corpus.all))
-  | Some dir ->
-      let apps = Lazy.force Corpus.all in
-      ignore (Lazy.force Nadroid_lang.Builtins.program);
-      (* batch-shared symbol table for the cache misses (safe: not part
-         of the cache key, cannot change an entry) *)
-      let interner = Pipeline.create_interner () in
-      List.map2
-        (fun (app : Corpus.app) r ->
-          match r with
-          | Ok (e, _outcome) -> (app, canonical_of_entry app e)
-          | Error exn -> raise (Fault.Fault (Fault.of_exn exn)))
-        apps
-        (Nadroid_core.Parallel.map_result ?jobs
-           (fun (app : Corpus.app) ->
-             Cache.analyze ~interner ~dir ~file:app.Corpus.name app.Corpus.source)
-           apps)
+  let apps = Lazy.force Corpus.all in
+  ignore (Lazy.force Nadroid_lang.Builtins.program);
+  (* batch-shared symbol table (safe: not part of the cache key, cannot
+     change an entry) *)
+  let interner = Pipeline.create_interner () in
+  List.map2
+    (fun (app : Corpus.app) r ->
+      match r with
+      | Ok (e, _outcome) -> (app, canonical_of_entry app e)
+      | Error exn -> raise (Fault.Fault (Fault.of_exn exn)))
+    apps
+    (Nadroid_core.Parallel.map_result ?jobs
+       (fun (app : Corpus.app) ->
+         Cache.analyze ~interner ?dir:cache_dir ~file:app.Corpus.name app.Corpus.source)
+       apps)
 
 type status =
   | G_ok

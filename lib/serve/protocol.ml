@@ -251,7 +251,6 @@ type analyze = {
   a_deadline : float option;
   a_budget_pta : int option;
   a_budget_tuples : int option;
-  a_budget_explorer : int option;
   a_cache : bool option;
 }
 
@@ -290,7 +289,6 @@ let parse_analyze j =
       a_deadline = opt_field j "deadline" as_float;
       a_budget_pta = opt_field j "budget_pta" as_int;
       a_budget_tuples = opt_field j "budget_tuples" as_int;
-      a_budget_explorer = opt_field j "budget_explorer" as_int;
       a_cache = opt_field j "cache" as_bool;
     }
   in
@@ -333,7 +331,6 @@ let render_analyze a =
         Option.map (fun d -> "\"deadline\":" ^ float_lit d) a.a_deadline;
         Option.map (Printf.sprintf "\"budget_pta\":%d") a.a_budget_pta;
         Option.map (Printf.sprintf "\"budget_tuples\":%d") a.a_budget_tuples;
-        Option.map (Printf.sprintf "\"budget_explorer\":%d") a.a_budget_explorer;
         Option.map (Printf.sprintf "\"cache\":%b") a.a_cache;
       ]
   in

@@ -42,7 +42,6 @@ type analyze = {
   a_deadline : float option;  (** seconds, enforced in-flight *)
   a_budget_pta : int option;
   a_budget_tuples : int option;
-  a_budget_explorer : int option;
   a_cache : bool option;  (** request the server's analysis cache *)
 }
 

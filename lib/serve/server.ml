@@ -84,7 +84,6 @@ let analyze_config cfg (a : Protocol.analyze) =
         Pipeline.pta_steps = a.Protocol.a_budget_pta;
         pta_tuples = a.Protocol.a_budget_tuples;
         deadline;
-        explorer_schedules = a.Protocol.a_budget_explorer;
       };
   }
 
@@ -111,23 +110,16 @@ let run_analyze cfg spool (a : Protocol.analyze) =
   | Error e -> Protocol.error_response (Printf.sprintf "cannot read input: %s" e)
   | Ok src ->
       let config = analyze_config cfg a in
-      let use_cache = Option.value ~default:false a.Protocol.a_cache in
+      let dir = if a.Protocol.a_cache = Some true then Some cfg.cache_dir else None in
       let result =
         match spool with
         | Some sp ->
             Supervise.analyze sp ~config
-              ?cache:
-                (if use_cache then Some (cfg.cache_dir, cfg.cache_max_bytes)
-                 else None)
+              ?cache:(Option.map (fun dir -> (dir, cfg.cache_max_bytes)) dir)
               ~file:name src
         | None ->
             Fault.wrap (fun () ->
-                if use_cache then
-                  fst
-                    (Cache.analyze ~config ?max_bytes:cfg.cache_max_bytes
-                       ~dir:cfg.cache_dir ~file:name src)
-                else
-                  Cache.entry_of_result (Pipeline.analyze ~config ~file:name src))
+                fst (Cache.analyze ~config ?max_bytes:cfg.cache_max_bytes ?dir ~file:name src))
       in
       Protocol.analyze_response ~name result
 

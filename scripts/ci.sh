@@ -99,12 +99,21 @@ if ! grep -q 'DEGRADED' "$adv_out"; then
 fi
 rm -f "$adv_src" "$adv_out"
 
-# 11. Monotonic-clock gate: deadline/duration arithmetic must never read
-#     the wall clock. The only gettimeofday in lib/bin/bench is the one
-#     inside lib/clock that feeds Clock.wall (display timestamps only).
+# 11. Source gates. (a) Monotonic clock: deadline/duration arithmetic
+#     must never read the wall clock. The only gettimeofday in
+#     lib/bin/bench is the one inside lib/clock that feeds Clock.wall
+#     (display timestamps only). (b) One record format: Marshal appears
+#     only in the versioned frame codec of lib/core/cache.ml, so no
+#     module can persist or pipe records that another build would
+#     unmarshal unchecked.
 if grep -rn "Unix.gettimeofday" lib bin bench --include='*.ml' \
   | grep -v '^lib/clock/clock\.ml:'; then
   echo "ci: Unix.gettimeofday outside lib/clock — use Nadroid_clock.Clock" >&2
+  exit 1
+fi
+if grep -rn 'Marshal\.' lib bin bench --include='*.ml' \
+  | grep -v '^lib/core/cache\.ml:'; then
+  echo "ci: Marshal outside lib/core/cache.ml — encode records with Cache.encode" >&2
   exit 1
 fi
 

@@ -126,13 +126,25 @@ let corruption_is_a_surfaced_miss mangle () =
 
 let truncate raw = String.sub raw 0 (String.length raw / 2)
 
+(* the last payload byte, just before the frame's terminating newline *)
 let flip_payload_byte raw =
   let b = Bytes.of_string raw in
-  let i = String.length raw - 1 in
+  let i = String.length raw - 2 in
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
   Bytes.to_string b
 
 let bad_header _raw = "not a cache entry\njunk"
+
+(* the entry intact, but framed under another version *)
+let other_version raw =
+  String.concat " nadroid-0 " (Astring.String.cuts ~sep:(" " ^ Cache.version ^ " ") raw)
+
+(* the header claims a payload of [len] bytes; near [max_int], adding the
+   header's length would wrap *)
+let with_length len raw =
+  let nl = String.index raw '\n' in
+  let sp = String.rindex_from raw nl ' ' in
+  String.sub raw 0 (sp + 1) ^ string_of_int len ^ String.sub raw nl (String.length raw - nl)
 
 (* Concurrent stores of the same key from several domains: a pid-only
    temp-file name is shared by every domain of the process, so racing
@@ -308,6 +320,12 @@ let suite =
           (corruption_is_a_surfaced_miss flip_payload_byte);
         Alcotest.test_case "foreign file = surfaced miss" `Quick
           (corruption_is_a_surfaced_miss bad_header);
+        Alcotest.test_case "entry of another version = surfaced miss" `Quick
+          (corruption_is_a_surfaced_miss other_version);
+        Alcotest.test_case "entry claiming max_int bytes = surfaced miss" `Quick
+          (corruption_is_a_surfaced_miss (with_length max_int));
+        Alcotest.test_case "entry claiming max_int - 1 bytes = surfaced miss" `Quick
+          (corruption_is_a_surfaced_miss (with_length (max_int - 1)));
         Alcotest.test_case "concurrent same-key stores never corrupt" `Quick
           concurrent_stores_never_corrupt;
         Alcotest.test_case "LRU eviction enforces the size cap" `Quick lru_eviction;

@@ -165,6 +165,41 @@ let flipped_byte ~s1 ~s2 raw =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff));
   Bytes.to_string b
 
+(* [raw] with every frame's version token replaced by another version's;
+   the payloads and their checksums stay intact. *)
+let other_version raw =
+  String.concat " nadroid-0 " (Astring.String.cuts ~sep:(" " ^ Cache.version ^ " ") raw)
+
+(* [raw] with the header of the frame at [pos] claiming a payload of
+   [len] bytes; near [max_int], adding the offset would wrap *)
+let with_length ?(pos = 0) len raw =
+  let nl = String.index_from raw pos '\n' in
+  let sp = String.rindex_from raw nl ' ' in
+  String.sub raw 0 (sp + 1) ^ string_of_int len ^ String.sub raw nl (String.length raw - nl)
+
+(* record b claims a payload too long for any file *)
+let huge_length len ~s1 ~s2:_ raw = with_length len ~pos:s1 raw
+
+(* A journal written by another build: its frames are intact, but none
+   is unmarshalled, and a resuming open truncates the journal instead of
+   appending behind records it cannot read. *)
+let journal_of_another_version_replays_empty () =
+  with_dir (fun dir ->
+      let path = Filename.concat dir "journal" in
+      let j, _ = Journal.open_ ~path ~resume:false in
+      List.iter (Journal.append j) [ record "a" 1; record "b" 2 ];
+      Journal.close j;
+      check_records "this version replays" [ record "a" 1; record "b" 2 ] (Journal.replay ~path);
+      write_file path (other_version (read_file path));
+      Alcotest.(check int) "another version replays empty" 0
+        (List.length (Journal.replay ~path));
+      let j, replayed = Journal.open_ ~path ~resume:true in
+      Alcotest.(check int) "resume sees no record" 0 (List.length replayed);
+      Alcotest.(check int) "resume truncates the journal" 0 (Unix.stat path).Unix.st_size;
+      Journal.append j (record "c" 3);
+      Journal.close j;
+      check_records "appends start a fresh log" [ record "c" 3 ] (Journal.replay ~path))
+
 let journal_absent_or_garbage_is_empty () =
   with_dir (fun dir ->
       Unix.mkdir dir 0o755;
@@ -409,6 +444,65 @@ let wedged_worker_hits_heartbeat () =
       | Ok _ -> ()
       | Error f -> Alcotest.failf "pool did not recover: %s" (Fault.to_string f))
 
+(* Set in a worker child's environment to a name of [foreign_replies],
+   this makes the test binary stand in for a worker of another build: it
+   answers at once with a reply — a success no analysis produced — whose
+   frame is intact but for one header field, then drains its requests
+   until EOF. *)
+let foreign_worker_var = "NADROID_TEST_FOREIGN_WORKER"
+
+(* what the reply is, its header rewrite, and what the failed attempt
+   names *)
+let foreign_replies =
+  [
+    ("of another version", other_version, "version nadroid-0");
+    (* the reply header of the builds before the shared codec *)
+    ( "under the retired worker tag",
+      (fun raw ->
+        let cur = "nadroid-worker-reply " ^ Cache.version ^ " " in
+        "nadroid-worker 1 " ^ Astring.String.with_range ~first:(String.length cur) raw),
+      "nadroid-worker frame" );
+    ("claiming max_int bytes", with_length max_int, "malformed frame header");
+  ]
+
+(* Called by the test binary before {!Supervise.worker_check}. *)
+let foreign_worker_check () =
+  let foreign v = List.find_opt (fun (name, _, _) -> String.equal name v) foreign_replies in
+  match Option.bind (Sys.getenv_opt foreign_worker_var) foreign with
+  | Some (_, rewrite, _) when Supervise.is_worker () ->
+      print_string (rewrite (Cache.encode Supervise.reply_kind (Ok (entry 1 "FOREIGN"))));
+      flush stdout;
+      let buf = Bytes.create 65536 in
+      while Unix.read Unix.stdin buf 0 (Bytes.length buf) > 0 do
+        ()
+      done;
+      exit 0
+  | _ -> ()
+
+(* A foreign reply fails the attempt instead of being unmarshalled or
+   skipped as noise: the worker is replaced, and the app is quarantined
+   when the replacement answers the same way — long before the
+   heartbeat, which only bounds a regression here. *)
+let foreign_reply_is_never_unmarshalled (name, _, reason) () =
+  let a = small_app () in
+  Unix.putenv foreign_worker_var name;
+  let sp = Supervise.create ~jobs:1 ~heartbeat:30.0 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Supervise.shutdown sp;
+      Unix.putenv foreign_worker_var "")
+    (fun () ->
+      let t0 = Clock.now () in
+      (match Supervise.analyze sp ~config ~file:a.Corpus.name a.Corpus.source with
+      | Error (Fault.Internal d) ->
+          Alcotest.(check bool) "quarantined after one replacement" true
+            (is_infix "quarantined: crashed 2 consecutive workers" d);
+          Alcotest.(check bool) ("the failure names " ^ reason) true (is_infix reason d)
+      | Ok e -> Alcotest.failf "a foreign reply was unmarshalled: %S" e.Cache.e_report
+      | Error f -> Alcotest.failf "wrong fault: %s" (Fault.to_string f));
+      Alcotest.(check bool) "failed at once, not at the heartbeat" true
+        (Clock.now () -. t0 < 30.0))
+
 let shutdown_is_idempotent () =
   let sp = Supervise.create ~jobs:1 () in
   Supervise.shutdown sp;
@@ -453,7 +547,6 @@ let inline_request ~name source =
       a_deadline = None;
       a_budget_pta = None;
       a_budget_tuples = None;
-      a_budget_explorer = None;
       a_cache = None;
     }
 
@@ -772,8 +865,14 @@ let suite =
           (journal_damage_bounds_replay truncated_tail);
         Alcotest.test_case "bit-flipped record bounds the replay" `Quick
           (journal_damage_bounds_replay flipped_byte);
+        Alcotest.test_case "record claiming max_int bytes bounds the replay" `Quick
+          (journal_damage_bounds_replay (huge_length max_int));
+        Alcotest.test_case "record claiming max_int - 1 bytes bounds the replay" `Quick
+          (journal_damage_bounds_replay (huge_length (max_int - 1)));
         Alcotest.test_case "absent or garbage journal replays empty" `Quick
           journal_absent_or_garbage_is_empty;
+        Alcotest.test_case "journal of another version replays empty, resume truncates" `Quick
+          journal_of_another_version_replays_empty;
       ] );
     ( "crash-cache",
       [
@@ -806,7 +905,13 @@ let suite =
           wedged_worker_hits_heartbeat;
         Alcotest.test_case "shutdown is idempotent and faults later calls" `Quick
           shutdown_is_idempotent;
-      ] );
+      ]
+      @ List.map
+          (fun ((what, _, _) as reply) ->
+            Alcotest.test_case
+              ("reply " ^ what ^ ": replaced, quarantined, never decoded")
+              `Quick (foreign_reply_is_never_unmarshalled reply))
+          foreign_replies );
     ( "crash-client",
       [
         Alcotest.test_case "connect retries with backoff until --connect-timeout" `Quick

@@ -63,9 +63,12 @@ let difftest_smoke () =
   if Differential.failed s || s.Differential.su_faults <> [] then
     Alcotest.failf "difftest failed:@.%a" Differential.pp_summary s
 
-(* The committed golden reports match a fresh analysis byte-for-byte. *)
+(* The committed golden reports match a fresh analysis byte-for-byte.
+   [golden/] sits next to this test binary in _build, wherever the
+   binary is run from. *)
 let golden_matches () =
-  let results = Golden.check ~dir:"golden" ~jobs:2 () in
+  let dir = Filename.concat (Filename.dirname Sys.executable_name) "golden" in
+  let results = Golden.check ~dir ~jobs:2 () in
   Alcotest.(check bool) "golden files present" true (results <> []);
   List.iter
     (fun (name, st) ->

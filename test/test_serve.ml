@@ -36,7 +36,6 @@ let analyze_roundtrip =
             a_deadline = deadline;
             a_budget_pta = k;
             a_budget_tuples = None;
-            a_budget_explorer = None;
             a_cache = Some (k = None);
           })
         string
@@ -66,6 +65,17 @@ let parse_request_rejects () =
   bad "{\"op\":\"analyze\",\"path\":\"a\",\"source\":\"b\"}" "not both";
   bad "{\"op\":\"analyze\",\"path\":\"a\",\"k\":\"two\"}" "integer";
   bad "{\"op\":\"analyze\",\"path\":\"a\"} trailing" "trailing"
+
+(* Clients built before the explorer budget left the analysis config may
+   still send its field; it is ignored like any unknown field. *)
+let retired_budget_explorer_field_parses () =
+  match
+    Protocol.parse_request "{\"op\":\"analyze\",\"path\":\"a\",\"budget_explorer\":5}"
+  with
+  | Ok (Protocol.Analyze a) ->
+      Alcotest.(check (option string)) "path kept" (Some "a") a.Protocol.a_path
+  | Ok _ -> Alcotest.fail "not an analyze request"
+  | Error e -> Alcotest.failf "rejected: %s" e
 
 let response_exit_map () =
   Alcotest.(check int) "ok" 0 (Protocol.response_exit "{\"ok\":true}");
@@ -127,7 +137,6 @@ let inline_request ?deadline ~name source =
       a_deadline = deadline;
       a_budget_pta = None;
       a_budget_tuples = None;
-      a_budget_explorer = None;
       a_cache = None;
     }
 
@@ -339,6 +348,8 @@ let suite =
         QCheck_alcotest.to_alcotest analyze_roundtrip;
         Alcotest.test_case "malformed requests are rejected with the field" `Quick
           parse_request_rejects;
+        Alcotest.test_case "the retired budget_explorer field still parses" `Quick
+          retired_budget_explorer_field_parses;
         Alcotest.test_case "response_exit mirrors the fault taxonomy" `Quick
           response_exit_map;
       ] );
