@@ -801,8 +801,8 @@ let synth_cmd =
       value & flag
       & info [ "adversarial" ]
           ~doc:
-            "emit the deadline-pathology app (filter phase superlinear in $(b,--size)) instead \
-             of a random well-typed app")
+            "emit the deadline-pathology app (filter phase quadratic in $(b,--size), with \
+             $(b,--size) squared warnings) instead of a random well-typed app")
   in
   let run seed size adversarial =
     if adversarial then print_string (Nadroid_corpus.Synth.adversarial ~seed ~size)

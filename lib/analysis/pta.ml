@@ -172,6 +172,24 @@ type solver = Worklist | Reference
 
 exception Out_of_budget
 
+(* Fillers for the unused tail of the object and instance tables. They
+   are allocated once: growing a table past the minor heap's size limit
+   with a young fill value (say, the table's first element) forces a
+   minor collection, which stops every domain. *)
+let no_obj =
+  {
+    o_site =
+      {
+        Instr.as_method = { Instr.mr_class = ""; mr_name = "" };
+        as_idx = 0;
+        as_class = "";
+        as_loc = Loc.dummy;
+      };
+    o_hctx = [];
+  }
+
+let no_instance = { i_id = 0; i_mref = { Instr.mr_class = ""; mr_name = "" }; i_ctx = [] }
+
 let create ?(k = 2) ?budget ?tuple_budget ?deadline (prog : Prog.t) : t =
   let field_ids = Hashtbl.create 64 in
   let fref_ids = Hashtbl.create 64 in
@@ -207,10 +225,10 @@ let create ?(k = 2) ?budget ?tuple_budget ?deadline (prog : Prog.t) : t =
     fref_ids;
     thread_target_id;
     obj_ids = Hashtbl.create 256;
-    objs = Array.make 256 { o_site = { Instr.as_method = { Instr.mr_class = ""; mr_name = "" }; as_idx = 0; as_class = ""; as_loc = Loc.dummy }; o_hctx = [] };
+    objs = Array.make 256 no_obj;
     n_objs = 0;
     inst_ids = Hashtbl.create 256;
-    insts = Array.make 256 { i_id = 0; i_mref = { Instr.mr_class = ""; mr_name = "" }; i_ctx = [] };
+    insts = Array.make 256 no_instance;
     n_insts = 0;
     pts = NodeTbl.create 1024;
     edge_seen = Hashtbl.create 256;
@@ -279,7 +297,7 @@ let intern_obj t site hctx : int =
       let id = t.n_objs in
       t.n_objs <- id + 1;
       if id >= Array.length t.objs then begin
-        let bigger = Array.make (2 * Array.length t.objs) t.objs.(0) in
+        let bigger = Array.make (2 * Array.length t.objs) no_obj in
         Array.blit t.objs 0 bigger 0 (Array.length t.objs);
         t.objs <- bigger
       end;
@@ -296,7 +314,7 @@ let intern_instance t mref ctx : int =
       let id = t.n_insts in
       t.n_insts <- id + 1;
       if id >= Array.length t.insts then begin
-        let bigger = Array.make (2 * Array.length t.insts) t.insts.(0) in
+        let bigger = Array.make (2 * Array.length t.insts) no_instance in
         Array.blit t.insts 0 bigger 0 (Array.length t.insts);
         t.insts <- bigger
       end;

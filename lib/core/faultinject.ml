@@ -19,6 +19,8 @@
      handler (cooperative batch stop) takes it from there.
    - [Wedge]: block for an hour — a hung worker, for heartbeat-timeout
      coverage.
+   - [Stall]: sleep about a millisecond and return — a slow step, so a
+     deadline can be driven into the middle of a phase on any host.
 
    Plans come in two forms, combinable in one spec string:
    - deterministic rules: fire on the [n]th occurrence of a site in this
@@ -44,6 +46,7 @@ type site =
   | Worker_task
   | Server_accept
   | Server_send
+  | Filter
 
 let all_sites =
   [
@@ -56,7 +59,12 @@ let all_sites =
     Worker_task;
     Server_accept;
     Server_send;
+    Filter;
   ]
+
+(* The filter site slows an analysis down rather than failing a seam, so
+   the seeded mode leaves it out unless a spec names it. *)
+let seeded_default_sites = List.filter (fun s -> s <> Filter) all_sites
 
 let site_index = function
   | Cache_read -> 0
@@ -68,8 +76,9 @@ let site_index = function
   | Worker_task -> 6
   | Server_accept -> 7
   | Server_send -> 8
+  | Filter -> 9
 
-let n_sites = 9
+let n_sites = 10
 
 let site_to_string = function
   | Cache_read -> "cache_read"
@@ -81,11 +90,12 @@ let site_to_string = function
   | Worker_task -> "worker_task"
   | Server_accept -> "server_accept"
   | Server_send -> "server_send"
+  | Filter -> "filter"
 
 let site_of_string s =
   List.find_opt (fun site -> String.equal (site_to_string site) s) all_sites
 
-type action = Raise | Kill | Abort | Term | Wedge
+type action = Raise | Kill | Abort | Term | Wedge | Stall
 
 let action_to_string = function
   | Raise -> "raise"
@@ -93,6 +103,7 @@ let action_to_string = function
   | Abort -> "abort"
   | Term -> "term"
   | Wedge -> "wedge"
+  | Stall -> "stall"
 
 let action_of_string = function
   | "raise" -> Some Raise
@@ -100,6 +111,7 @@ let action_of_string = function
   | "abort" -> Some Abort
   | "term" -> Some Term
   | "wedge" -> Some Wedge
+  | "stall" -> Some Stall
   | _ -> None
 
 type selector = Nth of int | Key of string
@@ -161,6 +173,7 @@ let perform action site key =
   | Abort -> Unix.kill (Unix.getpid ()) Sys.sigabrt
   | Term -> Unix.kill (Unix.getpid ()) Sys.sigterm
   | Wedge -> Unix.sleepf 3600.0
+  | Stall -> Unix.sleepf 0.001
 
 let trip ?key site =
   match Atomic.get plan with
@@ -197,7 +210,7 @@ let env_var = "NADROID_FAULTS"
            | SITE '=' KEY [':' ACTION]      deterministic, matching key
            | 'seed=' N | 'rate=' F | 'sites=' SITE ('+' SITE)*
    The seeded mode activates when both seed and rate appear; its site
-   list defaults to every site. *)
+   list defaults to every site but [filter]. *)
 let parse_spec spec =
   let entries =
     List.filter_map
@@ -284,7 +297,7 @@ let parse_spec spec =
               {
                 s_seed;
                 s_rate;
-                s_sites = Option.value ~default:all_sites !sites;
+                s_sites = Option.value ~default:seeded_default_sites !sites;
               }
         | _ -> None
       in

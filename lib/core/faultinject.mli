@@ -24,6 +24,9 @@ type site =
   | Worker_task
   | Server_accept
   | Server_send
+  | Filter
+      (** once per warning in {!Filters.apply_counted_deadline}, keyed by
+          the filter's name; only deadlined analyses reach it *)
 
 val all_sites : site list
 
@@ -34,8 +37,9 @@ val site_of_string : string -> site option
 (** How a firing trip manifests: [Raise] a [Unix_error (EIO, _, _)];
     [Kill]/[Abort]/[Term] the calling process with the corresponding
     signal (Kill and Abort do not return); [Wedge] blocks for an hour
-    (heartbeat-timeout coverage). *)
-type action = Raise | Kill | Abort | Term | Wedge
+    (heartbeat-timeout coverage); [Stall] sleeps about a millisecond and
+    returns (a slow filter, for deadline coverage). *)
+type action = Raise | Kill | Abort | Term | Wedge | Stall
 
 val action_to_string : action -> string
 
@@ -46,7 +50,8 @@ val action_to_string : action -> string
     whose caller-provided key matches), or seeded-mode configuration
     ["seed=N"], ["rate=F"], ["sites=a+b"] (every occurrence of the
     listed sites fires with probability [rate], decided by a hash of
-    seed, site and occurrence index). The default action is [raise].
+    seed, site and occurrence index; without [sites=], every site but
+    [filter]). The default action is [raise].
     An empty spec disarms. Arming resets occurrence and fire
     counters. *)
 val arm_spec : string -> (unit, string) result

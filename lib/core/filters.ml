@@ -47,6 +47,9 @@ type ctx = {
   esc : Escape.t;
   locks : Lockset.t;
   guards_cache : (string, Guards.t) Hashtbl.t;
+  resume_cache : (string, Guards.t option) Hashtbl.t;
+      (* component class -> guards of its onResume, [None] without one;
+         RHB asks the same component once per surviving pair *)
   component_obj : (string, int) Hashtbl.t;  (* component class -> abstract object id *)
   cancel_cache : (int, (Api.cancel * IntSet.t * IntSet.t) list) Hashtbl.t;
       (* thread id -> its cancellation calls; CHB queries the same
@@ -75,6 +78,7 @@ let create_ctx ?(atomic_ig = true) ?deadline (tf : Threadify.t) (esc : Escape.t)
     esc;
     locks;
     guards_cache = Hashtbl.create 64;
+    resume_cache = Hashtbl.create 16;
     component_obj;
     cancel_cache = Hashtbl.create 16;
     atomic_ig;
@@ -196,6 +200,15 @@ let ma ctx (w : Detect.warning) (tu_id, tf_id) =
 
 (* -- RHB (unsound, §6.2.1) ------------------------------------------------ *)
 
+let resume_guards ctx cls =
+  match Hashtbl.find_opt ctx.resume_cache cls with
+  | Some g -> g
+  | None ->
+      let prog = ctx.tf.Threadify.pta.Pta.prog in
+      let g = Option.map Guards.analyze (Prog.dispatch_body prog ~cls ~meth:"onResume") in
+      Hashtbl.replace ctx.resume_cache cls g;
+      g
+
 let rhb ctx (w : Detect.warning) (tu_id, tf_id) =
   let tu = thread ctx tu_id and tfr = thread ctx tf_id in
   match (tu.Threadify.th_kind, tfr.Threadify.th_kind) with
@@ -205,12 +218,9 @@ let rhb ctx (w : Detect.warning) (tu_id, tf_id) =
       match (tu.Threadify.th_component, tfr.Threadify.th_component) with
       | Some c1, Some c2 when String.equal c1 c2 -> (
           (* an allocation of the field in onResume restores the invariant *)
-          let prog = ctx.tf.Threadify.pta.Pta.prog in
-          match Prog.dispatch_body prog ~cls:c1 ~meth:"onResume" with
+          match resume_guards ctx c1 with
           | None -> false
-          | Some body ->
-              let g = Guards.analyze body in
-              Guards.may_allocates g w.Detect.w_field)
+          | Some g -> Guards.may_allocates g w.Detect.w_field)
       | (Some _ | None), _ -> false)
   | (Threadify.Dummy_main | Threadify.Entry_cb _ | Threadify.Posted_cb _
     | Threadify.Native_thread | Threadify.Async_background), _ ->
@@ -477,6 +487,7 @@ let apply_counted_deadline ctx ~deadline names (ws : Detect.warning list) :
         end
         else begin
           let c = ref 0 in
+          let key = name_to_string n in
           let rec go acc = function
             | [] -> List.rev acc
             | (w : Detect.warning) :: rest ->
@@ -485,6 +496,9 @@ let apply_counted_deadline ctx ~deadline names (ws : Detect.warning list) :
                   List.rev_append acc (w :: rest)
                 end
                 else begin
+                  (* a [filter=NAME:stall] plan slows this filter down,
+                     so tests can land a deadline inside it *)
+                  Faultinject.trip ~key Faultinject.Filter;
                   let pairs =
                     List.filter
                       (fun p ->

@@ -68,7 +68,8 @@ val apply_counted_deadline :
     skipped list along with every name whose turn never came; the
     skipped names are returned in the third component. Skipping is sound
     in the more-warnings direction. Counts are sequential (no
-    overlapping credit). *)
+    overlapping credit). Each warning a filter visits trips the
+    {!Faultinject.Filter} site, keyed by the filter's name. *)
 
 val pruned_count : ctx -> name list -> Detect.warning list -> int
 (** Warnings fully pruned when only [names] are enabled — the Figure 5

@@ -80,8 +80,7 @@ let create_interner () : interner = Nadroid_datalog.Symbol.create ()
    ({!Clock.now}): a wall-clock step in a long-lived process must never
    fire or starve a deadline. *)
 type metrics = {
-  m_frontend_lex : float;  (** tokenization *)
-  m_frontend_parse : float;  (** parsing the token stream *)
+  m_frontend_parse : float;  (** lexing and parsing (the parser pulls from the lexer) *)
   m_frontend_sema : float;  (** name/type resolution *)
   m_frontend_lower : float;  (** lowering to the CFG IR *)
   m_pta : float;  (** points-to analysis *)
@@ -103,7 +102,7 @@ type metrics = {
   m_degraded : degradation list;  (** empty = full-precision run *)
 }
 
-let frontend_sum m = m.m_frontend_lex +. m.m_frontend_parse +. m.m_frontend_sema +. m.m_frontend_lower
+let frontend_sum m = m.m_frontend_parse +. m.m_frontend_sema +. m.m_frontend_lower
 
 let phase_sum m =
   frontend_sum m +. m.m_pta +. m.m_aux +. m.m_threadify +. m.m_detect +. m.m_ctx +. m.m_filter
@@ -161,9 +160,9 @@ let run_pta config ~tuples ~deadline prog : Pta.t * degradation list =
 
 (* Frontend phase times, as measured by {!analyze}; zero when a caller
    enters at {!analyze_prog} with an already-built program. *)
-type frontend_times = { ft_lex : float; ft_parse : float; ft_sema : float; ft_lower : float }
+type frontend_times = { ft_parse : float; ft_sema : float; ft_lower : float }
 
-let no_frontend = { ft_lex = 0.0; ft_parse = 0.0; ft_sema = 0.0; ft_lower = 0.0 }
+let no_frontend = { ft_parse = 0.0; ft_sema = 0.0; ft_lower = 0.0 }
 
 let analyze_prog ?auto_tuples ?(config = default_config) ?interner
     ?(frontend = no_frontend) (prog : Prog.t) : t =
@@ -223,7 +222,6 @@ let analyze_prog ?auto_tuples ?(config = default_config) ?interner
   in
   let metrics =
     {
-      m_frontend_lex = frontend.ft_lex;
       m_frontend_parse = frontend.ft_parse;
       m_frontend_sema = frontend.ft_sema;
       m_frontend_lower = frontend.ft_lower;
@@ -237,8 +235,7 @@ let analyze_prog ?auto_tuples ?(config = default_config) ?interner
          [m_wall] keeps the phase_sum = wall invariant for the whole
          analysis, frontend included *)
       m_wall =
-        (Clock.now () -. t0) +. frontend.ft_lex +. frontend.ft_parse +. frontend.ft_sema
-        +. frontend.ft_lower;
+        (Clock.now () -. t0) +. frontend.ft_parse +. frontend.ft_sema +. frontend.ft_lower;
       m_pta_visits = Pta.visits pta;
       m_pta_steps = Pta.steps pta;
       m_pta_tuples = Pta.tuples pta;
@@ -362,14 +359,13 @@ let analyze ?(config = default_config) ?interner ~file src : t =
     | Some _ -> None
     | None -> Some (auto_pta_tuples ~loc:(Lazy.force loc))
   in
-  (* the four frontend phases are timed individually so the metrics
-     expose where batch time goes before the analysis proper starts *)
-  let toks, ft_lex = time (fun () -> Lexer.tokens ~file src) in
-  let ast, ft_parse = time (fun () -> Parser.parse_program_tokens ~file toks) in
+  (* the frontend phases are timed individually so the metrics expose
+     where batch time goes before the analysis proper starts; lexing is
+     part of parsing, which pulls tokens from the lexer as it goes *)
+  let ast, ft_parse = time (fun () -> Parser.parse_program ~file src) in
   let sema, ft_sema = time (fun () -> Sema.analyze ast) in
   let prog, ft_lower = time (fun () -> Prog.of_sema sema) in
-  analyze_prog ?auto_tuples ~config ?interner ~frontend:{ ft_lex; ft_parse; ft_sema; ft_lower }
-    prog
+  analyze_prog ?auto_tuples ~config ?interner ~frontend:{ ft_parse; ft_sema; ft_lower } prog
 
 (* Counts for the Table 1 row of an app. *)
 type row = {

@@ -81,8 +81,7 @@ val create_interner : unit -> interner
     reads. The [m_frontend_*] fields are zero when the caller entered
     at {!analyze_prog} with an already-built program. *)
 type metrics = {
-  m_frontend_lex : float;  (** tokenization *)
-  m_frontend_parse : float;  (** parsing the token stream *)
+  m_frontend_parse : float;  (** lexing and parsing (the parser pulls from the lexer) *)
   m_frontend_sema : float;  (** name/type resolution *)
   m_frontend_lower : float;  (** lowering to the CFG IR *)
   m_pta : float;  (** points-to analysis *)
@@ -107,7 +106,7 @@ type metrics = {
 val phase_sum : metrics -> float
 
 val frontend_sum : metrics -> float
-(** Sum of the four [m_frontend_*] phases. *)
+(** Sum of the three [m_frontend_*] phases. *)
 
 val timings_of_metrics : metrics -> timings
 (** The paper's three-phase split (§8.8): modeling = threadify,
@@ -130,7 +129,7 @@ type t = {
 
 (** Frontend phase times as measured by {!analyze}; {!analyze_prog}
     merges them into the run's metrics (and [m_wall]). *)
-type frontend_times = { ft_lex : float; ft_parse : float; ft_sema : float; ft_lower : float }
+type frontend_times = { ft_parse : float; ft_sema : float; ft_lower : float }
 
 val analyze_prog :
   ?auto_tuples:int -> ?config:config -> ?interner:interner -> ?frontend:frontend_times ->
@@ -158,7 +157,7 @@ val auto_pta_tuples : loc:int -> int
 
 val analyze : ?config:config -> ?interner:interner -> file:string -> string -> t
 (** Parse, typecheck, lower and analyse a MiniAndroid source, timing
-    the four frontend phases into the run's [m_frontend_*] metrics.
+    the three frontend phases into the run's [m_frontend_*] metrics.
     When the config carries no explicit [pta_steps] / [pta_tuples]
     budget, one is derived from the source size via {!auto_pta_steps} /
     {!auto_pta_tuples} (the derived tuple ceiling bounds the points-to

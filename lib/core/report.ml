@@ -63,8 +63,7 @@ let pp_metrics ppf (m : Pipeline.metrics) =
       (if m.Pipeline.m_wall > 0.0 then 100.0 *. v /. m.Pipeline.m_wall else 0.0)
   in
   Fmt.pf ppf "analysis phases:@\n";
-  line "lex" m.Pipeline.m_frontend_lex;
-  line "parse" m.Pipeline.m_frontend_parse;
+  line "lex+parse" m.Pipeline.m_frontend_parse;
   line "sema" m.Pipeline.m_frontend_sema;
   line "lower" m.Pipeline.m_frontend_lower;
   line "points-to" m.Pipeline.m_pta;
@@ -97,7 +96,6 @@ let metrics_to_json ?name (m : Pipeline.metrics) : string =
   List.iter
     (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "\"%s\":%.6f," k v))
     [
-      ("frontend_lex", m.Pipeline.m_frontend_lex);
       ("frontend_parse", m.Pipeline.m_frontend_parse);
       ("frontend_sema", m.Pipeline.m_frontend_sema);
       ("frontend_lower", m.Pipeline.m_frontend_lower);

@@ -36,7 +36,7 @@ val pp_metrics : Pipeline.metrics Fmt.t
 
 val metrics_to_json : ?name:string -> Pipeline.metrics -> string
 (** One flat JSON object:
-    [{"name":..., "frontend_lex":s, "frontend_parse":s,
+    [{"name":..., "frontend_parse":s (lexing included),
       "frontend_sema":s, "frontend_lower":s, "pta":s, "aux":s,
       "threadify":s, "detect":s, "create_ctx":s, "filter":s,
       "phase_sum":s, "wall":s,

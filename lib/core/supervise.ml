@@ -84,39 +84,70 @@ let write_all ?deadline fd s =
   in
   go 0
 
-(* Read exactly [n] more bytes into [buf], honouring [deadline] (absolute
-   monotonic time) via select before every read. Returns false on EOF. *)
-let read_into ?deadline fd buf n =
-  let chunk = Bytes.create (min (max n 1) 65536) in
-  let rec go remaining =
-    if remaining = 0 then true
-    else begin
-      (match deadline with
-      | None -> ()
-      | Some d ->
-          let left = d -. Nadroid_clock.Clock.now () in
-          if left <= 0.0 then raise Timeout
-          else
-            let rec wait left =
-              match Unix.select [ fd ] [] [] left with
-              | [], _, _ -> raise Timeout
-              | _ -> ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                  let left = d -. Nadroid_clock.Clock.now () in
-                  if left <= 0.0 then raise Timeout else wait left
-            in
-            wait left);
-      let r = Unix.read fd chunk 0 (min remaining 65536) in
-      if r = 0 then false
-      else begin
-        Buffer.add_subbytes buf chunk 0 r;
-        go (remaining - r)
-      end
-    end
-  in
-  go n
+(* A buffered reader over one pipe end, kept for the fd's lifetime:
+   bytes read past one frame belong to the next. A reply then costs
+   about two read(2)s (its header with the start of the payload, then
+   the rest) rather than one per header byte, plus, under a heartbeat,
+   one select(2) per read. *)
+type reader = { fd : Unix.file_descr; chunk : Bytes.t; mutable pos : int; mutable lim : int }
 
-(* The value of one [kind] frame from [fd]. [None] on clean EOF at a
+let reader fd = { fd; chunk = Bytes.create 65536; pos = 0; lim = 0 }
+
+(* Refill an exhausted reader with one read, honouring [deadline]
+   (absolute monotonic time) via select. Returns false on EOF. *)
+let refill ?deadline r =
+  (match deadline with
+  | None -> ()
+  | Some d ->
+      let rec wait () =
+        let left = d -. Nadroid_clock.Clock.now () in
+        if left <= 0.0 then raise Timeout;
+        match Unix.select [ r.fd ] [] [] left with
+        | [], _, _ -> raise Timeout
+        | _ -> ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+      in
+      wait ());
+  let n = Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) in
+  r.pos <- 0;
+  r.lim <- n;
+  n > 0
+
+(* Append the next line and its newline to [buf]; return the line. [None]
+   on EOF before any byte of it. *)
+let read_line ?deadline r buf =
+  let start = Buffer.length buf in
+  let rec go () =
+    if r.pos = r.lim && not (refill ?deadline r) then
+      if Buffer.length buf = start then None else failwith "truncated frame header"
+    else
+      let rec scan i = if i < r.lim && Bytes.get r.chunk i <> '\n' then scan (i + 1) else i in
+      let nl = scan r.pos in
+      if nl < r.lim then begin
+        Buffer.add_subbytes buf r.chunk r.pos (nl + 1 - r.pos);
+        r.pos <- nl + 1;
+        Some (Buffer.sub buf start (Buffer.length buf - start - 1))
+      end
+      else begin
+        Buffer.add_subbytes buf r.chunk r.pos (r.lim - r.pos);
+        r.pos <- r.lim;
+        go ()
+      end
+  in
+  go ()
+
+(* Append exactly [n] more bytes to [buf]. Returns false on EOF. *)
+let rec read_exactly ?deadline r buf n =
+  if n = 0 then true
+  else if r.pos = r.lim && not (refill ?deadline r) then false
+  else begin
+    let k = min n (r.lim - r.pos) in
+    Buffer.add_subbytes buf r.chunk r.pos k;
+    r.pos <- r.pos + k;
+    read_exactly ?deadline r buf (n - k)
+  end
+
+(* The value of one [kind] frame from [r]. [None] on clean EOF at a
    frame boundary; raises [Failure] on a garbled frame, [Timeout] past
    the deadline. Lines that are not frame headers are skipped (up to a
    cap): a host binary's module initializers — test harnesses
@@ -125,27 +156,18 @@ let read_into ?deadline fd buf n =
    header of another kind or version fails at once: the other end runs
    another build, whose payload must not be unmarshalled, and skipping
    it as noise would wait for a frame that never comes. *)
-let read_frame (kind : 'a Cache.kind) ?deadline fd : 'a option =
+let read_frame (kind : 'a Cache.kind) ?deadline r : 'a option =
   let rec frames skipped =
     if skipped > 1_000_000 then failwith "no frame in 1MB of pipe output";
     let buf = Buffer.create 256 in
-    (* read byte-wise up to the newline (headers are ~70 bytes and
-       there is exactly one request in flight, so not a hot path) *)
-    let rec line () =
-      let before = Buffer.length buf in
-      if not (read_into ?deadline fd buf 1) then
-        if before = 0 then None else failwith "truncated frame header"
-      else if Buffer.nth buf before = '\n' then Some (Buffer.sub buf 0 before)
-      else line ()
-    in
-    match line () with
+    match read_line ?deadline r buf with
     | None -> None
     | Some line -> (
         match Cache.header kind line with
         | Error Cache.Noise -> frames (skipped + String.length line + 1)
         | Error (Cache.Bad why) -> failwith why
         | Ok rest -> (
-            if not (read_into ?deadline fd buf rest) then failwith "truncated frame payload";
+            if not (read_exactly ?deadline r buf rest) then failwith "truncated frame payload";
             match Cache.decode kind (Buffer.contents buf) 0 with
             | Ok (v, _) -> Some v
             | Error why -> failwith why))
@@ -179,8 +201,9 @@ let worker_main () =
       Printf.eprintf "nadroid worker: bad %s: %s\n%!" Faultinject.env_var e;
       exit 2);
   ignore (Lazy.force Nadroid_lang.Builtins.program);
+  let requests = reader Unix.stdin in
   let rec loop () =
-    match read_frame request_kind Unix.stdin with
+    match read_frame request_kind requests with
     | None -> exit 0
     | Some q ->
         write_all reply_fd (Cache.encode reply_kind (analyze_request q));
@@ -205,7 +228,7 @@ let worker_check () =
 type worker = {
   pid : int;
   w_in : Unix.file_descr;  (** write requests here *)
-  w_out : Unix.file_descr;  (** read replies here *)
+  w_out : reader;  (** read replies here *)
 }
 
 type t = {
@@ -258,7 +281,7 @@ let spawn_one () : worker =
       (* non-blocking on our write end only (the child's stdin copy is
          unaffected), so [write_all] can bound it with the heartbeat *)
       Unix.set_nonblock req_w;
-      { pid; w_in = req_w; w_out = resp_r }
+      { pid; w_in = req_w; w_out = reader resp_r }
   | exception e ->
       List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
         [ req_r; req_w; resp_r; resp_w ];
@@ -282,7 +305,7 @@ let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let reap w =
   (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
   close_quiet w.w_in;
-  close_quiet w.w_out;
+  close_quiet w.w_out.fd;
   match Unix.waitpid [] w.pid with
   | _, status -> status_string status
   | exception Unix.Unix_error _ -> "unreaped"
@@ -427,6 +450,6 @@ let shutdown t =
     List.iter
       (fun w ->
         (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
-        close_quiet w.w_out)
+        close_quiet w.w_out.fd)
       ws
   end

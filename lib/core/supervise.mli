@@ -61,6 +61,16 @@ val shutdown : t -> unit
 val reply_kind : (Cache.entry, Fault.t) result Cache.kind
 (** The frame kind of a worker's reply (tests). *)
 
+type reader
+(** A buffered reader over one pipe end (tests). *)
+
+val reader : Unix.file_descr -> reader
+
+val read_frame : 'a Cache.kind -> ?deadline:float -> reader -> 'a option
+(** The next [kind] frame's value, skipping noise lines; [None] on EOF
+    at a frame boundary. Raises [Failure] on a garbled or foreign frame
+    (tests). *)
+
 val signal_name : int -> string
 
 val status_string : Unix.process_status -> string

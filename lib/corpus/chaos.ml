@@ -132,6 +132,41 @@ let block_span (src : string) ~start : (int * int) option =
   done;
   if !stop < 0 then None else Some (start, !stop - start + 1)
 
+(* A uniform pick among the pairs (a, b) of [spans] where [a] ends
+   before [b] starts, listed [a]-major in span order: the pick
+   [pick rng] makes from that list, with the same draw, without building
+   the list, which is quadratic in the statements of an app (4.5 million
+   pairs for 3,000 statements). *)
+let pick_disjoint_pair rng (spans : (int * int) array) =
+  let starts = Array.map fst spans in
+  Array.sort compare starts;
+  let n = Array.length spans in
+  (* spans starting at or after [pos]: binary search in [starts] *)
+  let starting_from pos =
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if starts.(mid) < pos then lo := mid + 1 else hi := mid
+    done;
+    n - !lo
+  in
+  let after = Array.map (fun (s, l) -> starting_from (s + l)) spans in
+  match Array.fold_left ( + ) 0 after with
+  | 0 -> None
+  | total ->
+      let k = ref (Random.State.int rng total) and i = ref 0 in
+      while !k >= after.(!i) do
+        k := !k - after.(!i);
+        incr i
+      done;
+      let s1, l1 = spans.(!i) in
+      let j = ref 0 in
+      while fst spans.(!j) < s1 + l1 || !k > 0 do
+        if fst spans.(!j) >= s1 + l1 then decr k;
+        incr j
+      done;
+      Some (spans.(!i), spans.(!j))
+
 let keywords =
   [
     "class"; "extends"; "field"; "method"; "new"; "null"; "if"; "else"; "while"; "return";
@@ -221,16 +256,7 @@ let mutate (rng : Random.State.t) (src : string) : string * string =
     | 5 | 6 -> (
         (* swap two disjoint statements: reorders operations across
            callbacks without breaking the grammar *)
-        let spans = statement_spans src in
-        let pairs =
-          List.concat_map
-            (fun (s1, l1) ->
-              List.filter_map
-                (fun (s2, l2) -> if s1 + l1 <= s2 then Some ((s1, l1), (s2, l2)) else None)
-                spans)
-            spans
-        in
-        match pick rng pairs with
+        match pick_disjoint_pair rng (Array.of_list (statement_spans src)) with
         | Some ((s1, l1), (s2, l2)) ->
             let a = String.sub src s1 l1 and b = String.sub src s2 l2 in
             let m = splice src ~start:s2 ~len:l2 a in

@@ -35,8 +35,8 @@ let plan (spec : spec) : app array =
       let adversarial = Random.State.float rs 1.0 < spec.mc_adversarial in
       let kind =
         if adversarial then begin
-          (* heavy tail: mostly small stragglers, occasionally a ~size³
-             monster — u² keeps the mass near 8 *)
+          (* heavy tail: mostly small stragglers, occasionally a large
+             one (s² warnings) — u² keeps the mass near 8 *)
           let u = Random.State.float rs 1.0 in
           Adversarial (8 + int_of_float (22.0 *. u *. u))
         end

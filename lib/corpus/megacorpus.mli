@@ -10,8 +10,8 @@
     distribution (the 27 {!Corpus.all} apps' LOC, with ±20% jitter) and
     are rendered through {!Gen} with padding tuned to hit the target. A
     configurable fraction are {!Synth.adversarial} stragglers with
-    heavy-tailed sizes — the ~size³ filter-phase apps that skew a
-    static per-domain split idle. *)
+    heavy-tailed sizes: apps whose s² warnings make their filter phase
+    the longest of the plan. *)
 
 type kind =
   | Normal of int  (** LOC target, drawn from the Table 1 distribution *)

@@ -290,8 +290,9 @@ let render (t : t) : string * Spec.seeded list =
 (* -- adversarial pathology ------------------------------------------------ *)
 
 (* A worst-case app for the deadline machinery: the analysis is
-   *correct* on it but asymptotically slow in the filter phase, which is
-   exactly where in-flight cancellation must land.
+   *correct* on it, and its warning count, hence its filter phase, grows
+   with the square of its size; the filter phase is exactly where
+   in-flight cancellation must land.
 
    Shape, for a size parameter [s]: [s] pool fields, each nulled in
    [onPause] (one free site per field); [s] click listeners, each
@@ -299,14 +300,16 @@ let render (t : t) : string * Spec.seeded list =
    warnings all pairing a click thread against the [onPause] thread);
    and an [onResume] body of [10*s] allocations of a dummy non-pool
    field. Every warning reaches RHB (same component, free thread is
-   [onPause], use thread is not), and RHB re-runs its guard analysis of
-   the *whole* [onResume] body per (warning, pair) — uncached by design,
-   this is the filter's documented hotspot — so the filter phase costs
-   ~[s^2 * 10s] guard transfers while points-to and detection stay
-   near-linear and finish well inside any reasonable deadline. The dummy
-   field keeps [may_allocates] false for every pool field: RHB never
-   prunes, every warning flows on to the remaining unsound filters, and
-   the surviving report stays a sound over-approximation.
+   [onPause], use thread is not), which analyzes the [onResume] body
+   once per component, so the filter phase is quadratic in [s] (its
+   [s^2] warnings each visit every filter) while points-to and
+   detection stay near-linear. A size-40 app analyzes in tens of
+   milliseconds, so tests and CI that need a deadline to expire inside
+   the filter phase slow it down with the [filter=MHB:stall]
+   fault-injection plan. The dummy field keeps [may_allocates] false
+   for every pool field: RHB never prunes, every warning flows on to
+   the remaining unsound filters, and the surviving report stays a
+   sound over-approximation.
 
    The seed only permutes each listener's field-use order, so distinct
    seeds give distinct sources with identical cost structure. *)

@@ -50,11 +50,13 @@ val render : t -> string * Spec.seeded list
 val adversarial : seed:int -> size:int -> string
 (** A worst-case app for the deadline machinery: [size] fields freed in
     [onPause], [size] click listeners each using every field, and a
-    [10*size]-statement [onResume] that RHB re-analyzes per warning —
-    the filter phase costs ~[size^3] while modeling and detection stay
-    near-linear, so a small [--deadline] lands mid-filters and must be
-    honoured in-flight. The seed permutes statement order only; the cost
-    structure is seed-independent. Deterministic per (seed, size). *)
+    [10*size]-statement [onResume] that RHB analyzes once — the filter
+    phase visits [size^2] warnings (quadratic in [size]) while modeling
+    and detection stay near-linear. With the filters stalled by the
+    [filter=MHB:stall] fault-injection plan, a small [--deadline] lands
+    mid-filters and must be honoured in-flight. The seed permutes
+    statement order only; the cost structure is seed-independent.
+    Deterministic per (seed, size). *)
 
 val shrink_steps : t -> t list
 (** All one-step-smaller variants (drop a pattern, an activity, a

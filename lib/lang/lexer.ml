@@ -294,17 +294,23 @@ let next lx : Token.t * Loc.t =
 
 (* -- whole-stream entry points ------------------------------------------ *)
 
+(* The growable buffer's filler. [Array.make] past the minor heap's
+   size limit with a young fill value forces a minor collection (the
+   runtime will not let a fresh major array point into the minor heap),
+   so the filler is allocated once, not per call. *)
+let fill = (Token.EOF, Loc.dummy)
+
 (* Tokenize a whole source into one batch-allocated buffer. Tokens land
    in a growable array (geometric doubling, seeded from the source size
    at roughly one token per six bytes of MiniAndroid) instead of a cons
-   cell per token; the parser indexes the result directly. *)
+   cell per token. *)
 let tokens ~file src : (Token.t * Loc.t) array =
   let lx = create ~file src in
-  let buf = ref (Array.make (max 64 (String.length src / 6)) (Token.EOF, Loc.dummy)) in
+  let buf = ref (Array.make (max 64 (String.length src / 6)) fill) in
   let len = ref 0 in
   let push tl =
     if !len = Array.length !buf then begin
-      let bigger = Array.make (2 * Array.length !buf) (Token.EOF, Loc.dummy) in
+      let bigger = Array.make (2 * Array.length !buf) fill in
       Array.blit !buf 0 bigger 0 !len;
       buf := bigger
     end;
@@ -319,7 +325,7 @@ let tokens ~file src : (Token.t * Loc.t) array =
   go ();
   Array.sub !buf 0 !len
 
-(* Tokenize a whole source string; used by tests and by the parser. *)
+(* Tokenize a whole source string; used by tests. *)
 let tokenize ~file src = Array.to_list (tokens ~file src)
 
 (* -- reference implementation ------------------------------------------- *)

@@ -19,7 +19,8 @@ val next : t -> Token.t * Loc.t
 
 val tokens : file:string -> string -> (Token.t * Loc.t) array
 (** The whole token stream as one batch-allocated array, ending with a
-    single {!Token.EOF}. This is the parser's input representation. *)
+    single {!Token.EOF}, for {!Parser.parse_program_tokens}.
+    {!Parser.parse_program} pulls from {!next} instead. *)
 
 val tokenize : file:string -> string -> (Token.t * Loc.t) list
 (** The whole token stream as a list, ending with a single

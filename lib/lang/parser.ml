@@ -11,27 +11,27 @@
    allocation site becomes a plain [New] of the hoisted class. *)
 
 type t = {
-  toks : (Token.t * Loc.t) array;  (* always ends with a single EOF *)
-  mutable cursor : int;
+  next : unit -> Token.t * Loc.t;  (* the token source; EOF at its end *)
+  mutable cur : Token.t * Loc.t;  (* the one token of lookahead *)
   mutable hoisted : Ast.cls list;  (* anonymous classes, in reverse order *)
   mutable anon_counter : int;
   file : string;
 }
 
-(* The cursor walks a batch-allocated token array ({!Lexer.tokens})
-   instead of consuming a cons cell per token; [of_tokens] also lets the
-   equivalence tests drive the parser from the reference lexer. *)
-let of_tokens ~file toks = { toks; cursor = 0; hoisted = []; anon_counter = 0; file }
+(* The parser only ever looks at the current token and never backtracks,
+   so it pulls tokens one at a time from a source instead of indexing a
+   materialized stream: {!parse_program} pulls straight from the lexer,
+   so no token outlives the next pull, while [parse_program_tokens]
+   walks an array (the equivalence tests drive the parser from the
+   reference lexer that way). *)
+let of_source ~file next = { next; cur = next (); hoisted = []; anon_counter = 0; file }
 
-let create ~file src = of_tokens ~file (Lexer.tokens ~file src)
+let peek p = p.cur
 
-let peek p =
-  if p.cursor < Array.length p.toks then Array.unsafe_get p.toks p.cursor
-  else (Token.EOF, Loc.dummy)
+let peek_tok p = fst p.cur
 
-let peek_tok p = fst (peek p)
-
-let advance p = if p.cursor < Array.length p.toks then p.cursor <- p.cursor + 1
+(* EOF is sticky: the parser never advances past it *)
+let advance p = match fst p.cur with Token.EOF -> () | _ -> p.cur <- p.next ()
 
 let cur_loc p = snd (peek p)
 
@@ -453,6 +453,37 @@ let parse_program_of parser : Ast.program =
   let classes = go [] in
   { Ast.p_classes = classes @ List.rev p.hoisted }
 
-let parse_program ~file src : Ast.program = parse_program_of (create ~file src)
+(* A file's diagnostic is its first lexical error if it has one, else its
+   first syntax error, as if the whole file were lexed before parsing: so
+   when the parser fails before the lexer has reached the end, the rest
+   of the file is lexed for an error that takes precedence. [lexing] is
+   still set when the exception came out of the lexer itself. *)
+let parse_program ~file src : Ast.program =
+  let lx = Lexer.create ~file src in
+  let lexing = ref false in
+  let next () =
+    lexing := true;
+    let tl = Lexer.next lx in
+    lexing := false;
+    tl
+  in
+  let rec drain () = match Lexer.next lx with Token.EOF, _ -> () | _ -> drain () in
+  match parse_program_of (of_source ~file next) with
+  | prog -> prog
+  | exception e when not !lexing ->
+      let bt = Printexc.get_raw_backtrace () in
+      drain ();
+      Printexc.raise_with_backtrace e bt
 
-let parse_program_tokens ~file toks : Ast.program = parse_program_of (of_tokens ~file toks)
+let parse_program_tokens ~file toks : Ast.program =
+  let n = Array.length toks in
+  let i = ref 0 in
+  let next () =
+    if !i < n then begin
+      let tl = Array.unsafe_get toks !i in
+      incr i;
+      tl
+    end
+    else (Token.EOF, Loc.dummy)
+  in
+  parse_program_of (of_source ~file next)

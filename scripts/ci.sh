@@ -77,8 +77,9 @@ rm -rf "$cache_dir"
 python3 perfbench/run.py --workload all --seed 42 --seconds 1 >/dev/null
 
 # 10. Wedged-analysis gate: an adversarial app whose filter phase runs
-#     ~10s unbounded must, under --deadline 2, terminate within 2x the
-#     deadline with exit 0 and a partial report marked DEGRADED (the
+#     ~5s (its MHB filter stalled ~1 ms per warning by fault injection;
+#     deadlined runs only) must, under --deadline 2, terminate within 2x
+#     the deadline with exit 0 and a partial report marked DEGRADED (the
 #     marker prints with the metrics, hence --timings). A hang here
 #     means in-flight cancellation regressed.
 adv_src="_nadroid_cache/ci-adv.$$.mand"
@@ -87,7 +88,8 @@ mkdir -p _nadroid_cache
 dune build bin/nadroid.exe
 ./_build/default/bin/nadroid.exe synth --adversarial --seed 0 --size 70 > "$adv_src"
 adv_t0=$(date +%s)
-./_build/default/bin/nadroid.exe analyze "$adv_src" --deadline 2 --timings > "$adv_out"
+NADROID_FAULTS='filter=MHB:stall' \
+  ./_build/default/bin/nadroid.exe analyze "$adv_src" --deadline 2 --timings > "$adv_out"
 adv_elapsed=$(( $(date +%s) - adv_t0 ))
 if [ "$adv_elapsed" -gt 4 ]; then
   echo "ci: adversarial analyze took ${adv_elapsed}s under --deadline 2 (limit 4s)" >&2
@@ -228,16 +230,19 @@ dune exec --no-print-directory bin/nadroid.exe -- faultfuzz \
   --seed 42 --trials 8 --apps 6 --jobs 2
 
 # 15. Frontend and performance gate: (a) the frontend-equivalence
-#     group — table-driven lexer, token-array parser and batch-shared
-#     interning must be byte-identical to the reference paths on 200
-#     generated apps and the corpus, and count_loc must agree with the
-#     naive LOC-spec scanner on every corpus app; (b) the better of two
-#     corpus-seq benchmark runs must reach 0.8 x the apps/s of the
-#     committed BENCH_16.json point (written by
+#     group — the table-driven lexer, the streaming parser and
+#     batch-shared interning must be byte-identical to the reference
+#     paths (reference lexer, token-array parser, fresh interner) on
+#     200 generated apps and the corpus, the streaming parser must give
+#     the token-array parser's AST or diagnostic on chaos mutants of the
+#     corpus, and count_loc must agree with the naive LOC-spec scanner
+#     on every corpus app; (b) the better of two corpus-seq benchmark
+#     runs must reach 0.8 x the apps/s of the committed BENCH_19.json
+#     point (written by
 #     `python3 scripts/bench_record.py record`, never by CI). On a
 #     machine with another nproc or OCaml version than the point's, the
 #     check says so on stderr and skips.
 dune exec --no-print-directory test/test_main.exe -- test frontend-equivalence
-python3 scripts/bench_record.py check --point BENCH_16.json >/dev/null
+python3 scripts/bench_record.py check --point BENCH_19.json >/dev/null
 
 echo "ci: ok"

@@ -261,9 +261,10 @@ let entries dir =
 
 (* A run cut short by a wall-clock deadline depends on host speed: it is
    returned, but storing it would serve the degraded report to every
-   later run with that address. Unbounded, this adversarial app takes
-   seconds in its filter phase, so 0.3 s always degrades it. A run that
-   completes inside its deadline is stored as usual. *)
+   later run with that address. With its MHB filter stalled ~1 ms per
+   warning, this adversarial app spends seconds in its filter phase, so
+   0.3 s always degrades it. A run that completes inside its deadline is
+   stored as usual. *)
 let deadline_degraded_runs_are_not_stored () =
   let with_deadline d =
     {
@@ -273,7 +274,10 @@ let deadline_degraded_runs_are_not_stored () =
   in
   with_dir (fun dir ->
       let src = Nadroid_corpus.Synth.adversarial ~seed:0 ~size:40 in
-      let e, _ = Cache.analyze ~config:(with_deadline 0.3) ~dir ~file:"adv.mand" src in
+      let e, _ =
+        Test_robustness.with_stalled_filters (fun () ->
+            Cache.analyze ~config:(with_deadline 0.3) ~dir ~file:"adv.mand" src)
+      in
       Alcotest.(check bool) "the run degraded" true
         (e.Cache.e_metrics.Pipeline.m_degraded <> []);
       Alcotest.(check (list string)) "no entry written" [] (entries dir));

@@ -349,7 +349,7 @@ let metrics_tests =
           (fun k ->
             Alcotest.(check bool) (k ^ " present") true
               (Astring.String.is_infix ~affix:("\"" ^ k ^ "\":") json))
-          [ "name"; "frontend_lex"; "frontend_parse"; "frontend_sema"; "frontend_lower";
+          [ "name"; "frontend_parse"; "frontend_sema"; "frontend_lower";
             "pta"; "aux"; "threadify"; "detect"; "create_ctx"; "filter"; "phase_sum"; "wall";
             "pruned" ]);
   ]

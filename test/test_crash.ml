@@ -63,8 +63,7 @@ let check_entry_equal msg (a : Cache.entry) (b : Cache.entry) =
 
 let zero_metrics =
   {
-    Pipeline.m_frontend_lex = 0.0;
-    m_frontend_parse = 0.0;
+    Pipeline.m_frontend_parse = 0.0;
     m_frontend_sema = 0.0;
     m_frontend_lower = 0.0;
     m_pta = 0.0;
@@ -277,8 +276,8 @@ let read_failure_is_surfaced_and_repaired () =
 
 (* -- fault injection: determinism and the spec grammar ------------------- *)
 
-let tripped site =
-  match Faultinject.trip site with
+let tripped ?key site =
+  match Faultinject.trip ?key site with
   | () -> false
   | exception Unix.Unix_error (Unix.EIO, "faultinject", _) -> true
 
@@ -322,6 +321,29 @@ let seeded_mode_is_deterministic () =
     (List.length (List.filter Fun.id p1));
   Alcotest.(check bool) "rate 0.25 over 200 trips fires some" true (n1 > 0);
   Alcotest.(check bool) "and spares some" true (n1 < 200)
+
+(* [filter=NAME:stall] slows the named filter's trips by about a
+   millisecond and returns; other filters' trips pass. *)
+let filter_stall_sleeps_and_returns () =
+  arm "filter=MHB:stall";
+  let t0 = Clock.now () in
+  Fun.protect ~finally:Faultinject.disarm (fun () ->
+      Alcotest.(check bool) "the MHB trip returns" false (tripped ~key:"MHB" Faultinject.Filter);
+      Alcotest.(check bool) "the IG trip returns" false (tripped ~key:"IG" Faultinject.Filter));
+  Alcotest.(check int) "only the MHB trip fired" 1 (Faultinject.fires ());
+  Alcotest.(check bool) "it slept about a millisecond" true (Clock.now () -. t0 >= 0.001)
+
+(* The seeded mode fails I/O seams; the filter site only slows an
+   analysis down, so it fires only when a spec's site list names it. *)
+let seeded_mode_leaves_the_filter_site_out () =
+  arm "seed=5;rate=1.0";
+  Fun.protect ~finally:Faultinject.disarm (fun () ->
+      Alcotest.(check bool) "an I/O seam fires" true (tripped Faultinject.Cache_read);
+      Alcotest.(check bool) "the filter site passes" false
+        (tripped ~key:"MHB" Faultinject.Filter));
+  arm "seed=5;rate=1.0;sites=filter";
+  Fun.protect ~finally:Faultinject.disarm (fun () ->
+      Alcotest.(check bool) "named, it fires" true (tripped ~key:"MHB" Faultinject.Filter))
 
 let bad_specs_are_rejected () =
   List.iter
@@ -502,6 +524,40 @@ let foreign_reply_is_never_unmarshalled (name, _, reason) () =
       | Error f -> Alcotest.failf "wrong fault: %s" (Fault.to_string f));
       Alcotest.(check bool) "failed at once, not at the heartbeat" true
         (Clock.now () -. t0 < 30.0))
+
+(* The supervisor reads each worker's pipe through a buffer: a header
+   split across two writes (the first read ends inside it, after a
+   noise line) is reassembled, and bytes read past one frame are kept
+   for the next. *)
+let split_header_is_reassembled () =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let frame n = Cache.encode Supervise.reply_kind (Ok (entry n (Printf.sprintf "reply %d" n))) in
+  let one = frame 1 and two = frame 2 in
+  let write s = ignore (Unix.write_substring w s 0 (String.length s)) in
+  let cut = 12 in
+  let writer =
+    Domain.spawn (fun () ->
+        write ("module-initializer noise\n" ^ String.sub one 0 cut);
+        Unix.sleepf 0.05;
+        write (String.sub one cut (String.length one - cut) ^ two);
+        Unix.close w)
+  in
+  let reader = Supervise.reader r in
+  let read () =
+    match
+      Supervise.read_frame Supervise.reply_kind ~deadline:(Clock.now () +. 10.0) reader
+    with
+    | Some (Ok e) -> Some e.Cache.e_report
+    | Some (Error f) -> Alcotest.failf "unexpected fault reply: %s" (Fault.to_string f)
+    | None -> None
+  in
+  let replies = List.init 3 (fun _ -> read ()) in
+  Domain.join writer;
+  Unix.close r;
+  Alcotest.(check (list (option string)))
+    "both frames, then EOF"
+    [ Some "reply 1"; Some "reply 2"; None ]
+    replies
 
 let shutdown_is_idempotent () =
   let sp = Supervise.create ~jobs:1 () in
@@ -892,6 +948,10 @@ let suite =
         Alcotest.test_case "seeded mode is deterministic per seed" `Quick
           seeded_mode_is_deterministic;
         Alcotest.test_case "malformed specs are rejected" `Quick bad_specs_are_rejected;
+        Alcotest.test_case "filter=NAME:stall sleeps and returns" `Quick
+          filter_stall_sleeps_and_returns;
+        Alcotest.test_case "seeded mode leaves the filter site out" `Quick
+          seeded_mode_leaves_the_filter_site_out;
       ] );
     ( "crash-supervise",
       [
@@ -905,6 +965,8 @@ let suite =
           wedged_worker_hits_heartbeat;
         Alcotest.test_case "shutdown is idempotent and faults later calls" `Quick
           shutdown_is_idempotent;
+        Alcotest.test_case "a header split across two writes is reassembled" `Quick
+          split_header_is_reassembled;
       ]
       @ List.map
           (fun ((what, _, _) as reply) ->

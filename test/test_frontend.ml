@@ -1,9 +1,9 @@
 (* Frontend equivalence and regression tests (the PR-10 gate).
 
-   The table-driven lexer and the array-cursor parser are pure speed
+   The table-driven lexer and the streaming parser are pure speed
    refactors: every observable — token streams with locations, ASTs,
-   and final analysis reports — must be byte-identical to the
-   reference implementations. The same holds for batch-shared
+   diagnostics and final analysis reports — must be byte-identical to
+   the reference implementations. The same holds for batch-shared
    interning: handing every analysis of a batch one hash-consed symbol
    table must never change a report, because engine iteration order is
    insertion-ordered and thus independent of id assignment. These
@@ -229,10 +229,104 @@ let corpus_tests =
           (List.combine fresh shared));
   ]
 
+(* -- diagnostics: the streaming parser reports what the array path does --- *)
+
+(* The outcome of one parse: the AST, or the diagnostic's message and
+   location. *)
+let outcome parse =
+  match parse () with
+  | prog -> Ok prog
+  | exception Diag.Error d -> Error (d.Diag.message, Loc.to_string d.Diag.loc)
+
+let pp_outcome ppf = function
+  | Ok _ -> Fmt.string ppf "parsed"
+  | Error (msg, loc) -> Fmt.pf ppf "%s: %s" loc msg
+
+let same_diagnostics ?(what = "") ~file src =
+  let streamed = outcome (fun () -> Parser.parse_program ~file src) in
+  let arrayed = outcome (fun () -> Parser.parse_program_tokens ~file (Lexer.tokens ~file src)) in
+  if streamed <> arrayed then
+    Alcotest.failf "%s%s: streaming parse gave %a, the token array %a" file what pp_outcome
+      streamed pp_outcome arrayed
+
+(* The parser fails at line 3's [method] (line 2 lacks its [;]) before
+   the lexer reaches the unterminated literal later on that line; the
+   lexical error still wins, as when the whole file is lexed first. *)
+let lex_error_after_parse_error =
+  String.concat "\n"
+    [
+      "class A extends Activity {";
+      "  field Data x";
+      "  method void f() { x = \"abc";
+      "  }";
+      "}";
+      "";
+    ]
+
+let diagnostic_tests =
+  [
+    Alcotest.test_case "a later lexical error wins over an earlier parse error" `Quick
+      (fun () ->
+        Alcotest.(check (result reject (pair string string)))
+          "the unterminated literal is reported"
+          (Error ("unterminated string literal", "late.mand:3:25"))
+          (outcome (fun () -> Parser.parse_program ~file:"late.mand" lex_error_after_parse_error));
+        same_diagnostics ~file:"late.mand" lex_error_after_parse_error);
+    (* byte- and grammar-level mutants of every corpus app, one to three
+       mutations deep: most fail in the lexer or the parser, at every
+       depth of the file, and a later mutation can add a lexical error
+       behind the syntax error an earlier one made *)
+    Alcotest.test_case "chaos mutants: same AST or same diagnostic on both token sources"
+      `Quick (fun () ->
+        List.iteri
+          (fun i (app : Corpus.app) ->
+            for m = 0 to 15 do
+              let rng = Random.State.make [| 42; i; m |] in
+              let rec mutate k (src, ops) =
+                if k = 0 then (src, ops)
+                else
+                  let src, op = Nadroid_corpus.Chaos.mutate rng src in
+                  mutate (k - 1) (src, op :: ops)
+              in
+              let src, ops = mutate (1 + (m mod 3)) (app.Corpus.source, []) in
+              same_diagnostics
+                ~what:(Printf.sprintf " (%s)" (String.concat ", " (List.rev ops)))
+                ~file:(Printf.sprintf "%s~%d" app.Corpus.name m)
+                src
+            done)
+          (Lazy.force Corpus.all));
+  ]
+
+(* -- allocation: the frontend stays in the minor heap --------------------- *)
+
+(* ToDoList's lex and parse fit the default minor heap (256k words), so
+   parsing it from an empty minor heap must neither trigger a minor
+   collection nor promote a word. A token buffer grown with a young fill
+   value forces one (the runtime will not let a fresh major-heap array
+   point into the minor heap), and a buffer of every token promotes the
+   whole stream at the next collection. *)
+let allocation_tests =
+  [
+    Alcotest.test_case "parsing ToDoList stays in the minor heap" `Quick (fun () ->
+        let app =
+          match Corpus.find "ToDoList" with Some a -> a | None -> Alcotest.fail "no ToDoList"
+        in
+        let src = app.Corpus.source in
+        Gc.minor ();
+        let minors0 = (Gc.quick_stat ()).Gc.minor_collections in
+        let _, promoted0, _ = Gc.counters () in
+        let prog = Parser.parse_program ~file:app.Corpus.name src in
+        let _, promoted1, _ = Gc.counters () in
+        let minors1 = (Gc.quick_stat ()).Gc.minor_collections in
+        ignore (Sys.opaque_identity prog);
+        Alcotest.(check int) "no minor collection" 0 (minors1 - minors0);
+        Alcotest.(check (float 0.0)) "no promoted words" 0.0 (promoted1 -. promoted0));
+  ]
+
 let suite =
   [
-    ("frontend", bom_tests @ escape_tests @ loc_tests);
+    ("frontend", bom_tests @ escape_tests @ loc_tests @ allocation_tests);
     ( "frontend-equivalence",
       List.map QCheck_alcotest.to_alcotest [ lexer_equiv; parser_equiv; interner_equiv ]
-      @ corpus_tests );
+      @ corpus_tests @ diagnostic_tests );
   ]

@@ -17,6 +17,7 @@ module Detect = Nadroid_core.Detect
 module Corpus = Nadroid_corpus.Corpus
 module Chaos = Nadroid_corpus.Chaos
 module Clock = Nadroid_clock.Clock
+module Faultinject = Nadroid_core.Faultinject
 
 let analyze_src src =
   Fault.wrap (fun () -> Pipeline.analyze ~file:"fuzz" src)
@@ -142,14 +143,22 @@ let degrade_ladder_at_derived_budget () =
         (List.mem k (keys t)))
     (keys full)
 
-(* In-flight deadline cancellation: the adversarial Synth app spends
-   almost all its time inside the filter phase (RHB re-analyzes a long
-   onResume body per warning), so a deadline that expires mid-filters
-   must cancel the running loop at a checkpoint — not wait for the phase
-   to finish. The run must come back well inside 2x the deadline, be
-   marked degraded (filters skipped), and its warning set must be a
-   superset of the full-precision run's (skipping filters only
-   over-reports). *)
+(* A deadlined analysis under this plan sleeps about 1 ms per warning in
+   its MHB filter, so the adversarial Synth app (s^2 = 1,600 warnings at
+   size 40) spends seconds in its filter phase on any host, and a
+   deadline of a fraction of a second expires inside it. *)
+let with_stalled_filters f =
+  match Faultinject.arm_spec "filter=MHB:stall" with
+  | Ok () -> Fun.protect ~finally:Faultinject.disarm f
+  | Error e -> Alcotest.failf "arming the filter stall: %s" e
+
+(* In-flight deadline cancellation: with its filters stalled, the
+   adversarial Synth app spends almost all its time inside the filter
+   phase, so a deadline that expires mid-filters must cancel the running
+   loop at a checkpoint — not wait for the phase to finish. The run must
+   come back well inside 2x the deadline, be marked degraded (filters
+   skipped), and its warning set must be a superset of the
+   full-precision run's (skipping filters only over-reports). *)
 let deadline_is_honoured_in_flight () =
   let src = Nadroid_corpus.Synth.adversarial ~seed:0 ~size:40 in
   let d = 0.4 in
@@ -160,7 +169,7 @@ let deadline_is_honoured_in_flight () =
     }
   in
   let t0 = Clock.now () in
-  let t = Pipeline.analyze ~config ~file:"adversarial" src in
+  let t = with_stalled_filters (fun () -> Pipeline.analyze ~config ~file:"adversarial" src) in
   let wall = Clock.now () -. t0 in
   Alcotest.(check bool)
     (Fmt.str "terminates within 2x the deadline (took %.2fs)" wall)
@@ -184,6 +193,21 @@ let deadline_is_honoured_in_flight () =
         (Fmt.str "full-precision warning %s survives the deadline cut" (fst k))
         true (List.mem k degraded_keys))
     (keys full)
+
+(* RHB asks, per warning, whether the component's onResume allocates
+   the field; the adversarial app's onResume is 10s statements long and
+   all s^2 of its warnings ask about the same component. Analyzing that
+   body once per component keeps the filter phase quadratic in s: the
+   whole size-40 run takes tens of milliseconds, where re-analyzing the
+   body per warning took seconds. *)
+let resume_guards_are_analyzed_once () =
+  let src = Nadroid_corpus.Synth.adversarial ~seed:0 ~size:40 in
+  let t0 = Clock.now () in
+  let t = Pipeline.analyze ~file:"adversarial" src in
+  let wall = Clock.now () -. t0 in
+  Alcotest.(check (list string)) "undegraded" []
+    (List.map Pipeline.degradation_to_string t.Pipeline.metrics.Pipeline.m_degraded);
+  Alcotest.(check bool) (Fmt.str "finishes within 1 s (took %.2fs)" wall) true (wall < 1.0)
 
 (* Deadlines live on the monotonic clock, so a wall-clock step (NTP
    correction, DST, an operator fixing the date) between deriving a
@@ -223,7 +247,10 @@ let deadline_survives_wall_clock_step () =
       let d = 0.4 in
       let src = Nadroid_corpus.Synth.adversarial ~seed:0 ~size:40 in
       let t0 = Clock.now () in
-      let t = Pipeline.analyze ~config:(with_budget d) ~file:"adversarial" src in
+      let t =
+        with_stalled_filters (fun () ->
+            Pipeline.analyze ~config:(with_budget d) ~file:"adversarial" src)
+      in
       let wall = Clock.now () -. t0 in
       Alcotest.(check bool)
         (Fmt.str "backward wall step does not starve the deadline (took %.2fs)" wall)
@@ -274,6 +301,8 @@ let suite =
           deadline_is_honoured_in_flight;
         Alcotest.test_case "deadline survives a wall-clock step" `Quick
           deadline_survives_wall_clock_step;
+        Alcotest.test_case "RHB analyzes each onResume once" `Quick
+          resume_guards_are_analyzed_once;
         Alcotest.test_case "chaos smoke finds nothing on the corpus" `Slow chaos_smoke;
         Alcotest.test_case "mutator is deterministic per (seed, index)" `Quick
           mutate_deterministic;

@@ -178,50 +178,54 @@ let concurrent_requests_byte_identical () =
 
 (* A deadline that expires mid-request must come back DEGRADED — and the
    worker that served it (there is only one) must answer the next
-   request of the same connection cleanly. *)
+   request of the same connection cleanly. The daemon's workers run in
+   this process, so the stalled-filter plan slows their deadlined
+   analyses too. *)
 let deadline_degrades_not_kills () =
   let adversarial = Nadroid_corpus.Synth.adversarial ~seed:0 ~size:40 in
   let small = List.hd (Lazy.force Corpus.all) in
-  with_daemon ~jobs:1 "deadline" (fun listen ->
-      let c = Client.connect listen in
-      let r =
-        Client.request c (inline_request ~deadline:0.4 ~name:"adversarial" adversarial)
-      in
-      (match Protocol.parse_json r with
-      | Ok j -> (
-          match Protocol.member "apps" j with
-          | Some (Protocol.Arr [ app ]) -> (
-              match Protocol.member "degraded" app with
-              | Some (Protocol.Arr (_ :: _)) -> ()
-              | _ -> Alcotest.failf "expected a degraded marker in %s" r)
-          | _ -> Alcotest.failf "expected one app in %s" r)
-      | Error e -> Alcotest.failf "unparseable response %s: %s" r e);
-      (* same connection, hence same (sole) worker: a clean run *)
-      let r2 =
-        Client.request c (inline_request ~name:small.Corpus.name small.Corpus.source)
-      in
-      Alcotest.(check string) "next request on the worker is clean"
-        (cold_response ~name:small.Corpus.name small.Corpus.source)
-        r2;
-      Client.close c)
+  Test_robustness.with_stalled_filters (fun () ->
+      with_daemon ~jobs:1 "deadline" (fun listen ->
+          let c = Client.connect listen in
+          let r =
+            Client.request c (inline_request ~deadline:0.4 ~name:"adversarial" adversarial)
+          in
+          (match Protocol.parse_json r with
+          | Ok j -> (
+              match Protocol.member "apps" j with
+              | Some (Protocol.Arr [ app ]) -> (
+                  match Protocol.member "degraded" app with
+                  | Some (Protocol.Arr (_ :: _)) -> ()
+                  | _ -> Alcotest.failf "expected a degraded marker in %s" r)
+              | _ -> Alcotest.failf "expected one app in %s" r)
+          | Error e -> Alcotest.failf "unparseable response %s: %s" r e);
+          (* same connection, hence same (sole) worker: a clean run *)
+          let r2 =
+            Client.request c (inline_request ~name:small.Corpus.name small.Corpus.source)
+          in
+          Alcotest.(check string) "next request on the worker is clean"
+            (cold_response ~name:small.Corpus.name small.Corpus.source)
+            r2;
+          Client.close c))
 
 (* A client that vanishes mid-request costs its connection, nothing
    else: the daemon still answers others and still drains cleanly. *)
 let disconnect_mid_request_is_isolated () =
   let adversarial = Nadroid_corpus.Synth.adversarial ~seed:0 ~size:40 in
   let small = List.hd (Lazy.force Corpus.all) in
-  with_daemon ~jobs:1 "disconnect" (fun listen ->
-      let dead = Client.connect listen in
-      Client.send dead (inline_request ~deadline:0.4 ~name:"orphan" adversarial);
-      (* hang up without reading the response *)
-      Client.close dead;
-      let c = Client.connect listen in
-      Alcotest.(check string) "daemon still answers" "{\"ok\":true}"
-        (Client.request c Protocol.ping_request);
-      Alcotest.(check string) "the worker is not wedged"
-        (cold_response ~name:small.Corpus.name small.Corpus.source)
-        (Client.request c (inline_request ~name:small.Corpus.name small.Corpus.source));
-      Client.close c)
+  Test_robustness.with_stalled_filters (fun () ->
+      with_daemon ~jobs:1 "disconnect" (fun listen ->
+          let dead = Client.connect listen in
+          Client.send dead (inline_request ~deadline:0.4 ~name:"orphan" adversarial);
+          (* hang up without reading the response *)
+          Client.close dead;
+          let c = Client.connect listen in
+          Alcotest.(check string) "daemon still answers" "{\"ok\":true}"
+            (Client.request c Protocol.ping_request);
+          Alcotest.(check string) "the worker is not wedged"
+            (cold_response ~name:small.Corpus.name small.Corpus.source)
+            (Client.request c (inline_request ~name:small.Corpus.name small.Corpus.source));
+          Client.close c))
 
 (* Pipelined requests: a client that writes several request lines in one
    burst and then goes quiet must still get every response. Once the
