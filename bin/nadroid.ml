@@ -317,13 +317,21 @@ let analyze_cmd =
         else begin
           if n > 1 then Fmt.pr "== %s ==@." path;
           match r with
-          | Ok ((e : Cache.entry), _) ->
+          | Ok ((e : Cache.entry), outcome) ->
               Fmt.pr "potential UAFs: %d; after sound filters: %d; after unsound filters: %d@.@."
                 e.Cache.e_potential e.Cache.e_after_sound e.Cache.e_after_unsound;
               print_string e.Cache.e_report;
               (* flushed here: each domain has its own std_formatter,
                  and the next file may be emitted from another domain *)
-              if timings then Fmt.pr "%a%!" Nadroid_core.Report.pp_metrics e.Cache.e_metrics
+              if timings then begin
+                (* a reused entry carries the metrics of the run that
+                   stored it; say so rather than pass them off as ours *)
+                (match outcome with
+                | Cache.Hit ->
+                    Fmt.pr "reused result: phase times are from the run that stored it@."
+                | Cache.Miss | Cache.Corrupt _ -> ());
+                Fmt.pr "%a%!" Nadroid_core.Report.pp_metrics e.Cache.e_metrics
+              end
           | Error fault -> Fmt.epr "%s: %a@." path Fault.pp fault
         end);
     Option.iter Supervise.shutdown spool;

@@ -11,14 +11,13 @@ type t = {
   escaping : IntSet.t;  (** object ids accessible to >= 2 threads or statics *)
 }
 
-val intra_thread_instances : Pta.t -> int -> IntSet.t
-(** Instances reachable from an entry through ordinary calls. *)
-
 val thread_entries : Pta.t -> int list
 (** Root instances plus targets of API edges: the nodes threadification
     turns into threads. *)
 
 val run : Pta.t -> t
+(** One pass over the points-to cells, linear in their size: the work
+    does not grow with the number of thread entries. *)
 
 val escapes : t -> int -> bool
 

@@ -60,7 +60,6 @@ let intra pta ~inst (body : Cfg.body) ~entry_fact : (int * IntSet.t) list =
   !out
 
 let run (pta : Pta.t) : t =
-  let prog = pta.Pta.prog in
   let entry_locks = Hashtbl.create 64 in
   let n = Pta.n_instances pta in
   (* Monitor presence per body, memoized by method reference: a body
@@ -89,12 +88,10 @@ let run (pta : Pta.t) : t =
      of (locks held at the call site); roots and posted callbacks start
      with the empty set. *)
   let get i = Option.value ~default:IntSet.empty (Hashtbl.find_opt entry_locks i) in
-  let top_mark = Hashtbl.create 16 in
   (* initially: every instance that is a thread entry has empty lockset;
-     others start at "unknown" (represented by absence + top_mark) *)
+     others start at "unknown", represented by absence *)
   let entries = Escape.thread_entries pta in
   List.iter (fun e -> Hashtbl.replace entry_locks e IntSet.empty) entries;
-  ignore top_mark;
   (* ordinary out-edges by caller, in edge-list order: the fixpoint reads
      an instance's out-edges every round, so scanning the full edge list
      each time was quadratic *)
@@ -111,7 +108,7 @@ let run (pta : Pta.t) : t =
     changed := false;
     for i = 0 to n - 1 do
       let inst = Pta.instance pta i in
-      match Prog.body prog inst.Pta.i_mref with
+      match Pta.inst_body pta i with
       | None -> ()
       | Some body ->
           if Hashtbl.mem entry_locks i then begin
@@ -147,7 +144,7 @@ let run (pta : Pta.t) : t =
   let at_instr = Hashtbl.create 256 in
   for i = 0 to n - 1 do
     let inst = Pta.instance pta i in
-    match Prog.body prog inst.Pta.i_mref with
+    match Pta.inst_body pta i with
     | None -> ()
     | Some body ->
         if has_monitors inst.Pta.i_mref body then

@@ -73,8 +73,11 @@ type t = {
   obj_ids : (Instr.alloc_site * ctx, int) Hashtbl.t;
   mutable objs : obj array;
   mutable n_objs : int;
-  inst_ids : (Instr.mref * ctx, int) Hashtbl.t;
+  inst_ids : (Instr.mref * int, int) Hashtbl.t;
+      (** (method, receiver object) -> instance id; the receiver is -1
+          under k = 0, where every context is [[]] *)
   mutable insts : instance array;
+  mutable inst_bodies : Cfg.body option array;  (** instance id -> its body *)
   mutable n_insts : int;
   field_ids : (string, int) Hashtbl.t;  (** qualified field name -> id *)
   fref_ids : (Instr.fref, int) Hashtbl.t;  (** per-fref interning memo *)
@@ -84,6 +87,8 @@ type t = {
   mutable edges : call_edge list;
   mutable roots : root list;
   synth_sites : (string, Instr.alloc_site) Hashtbl.t;
+  synth_args : (int * int * string, IntSet.t) Hashtbl.t;
+      (** (caller instance, call instr id, class) -> synthetic argument *)
   mutable changed : bool;
   mutable passes : int;
   mutable steps : int;  (** instruction transfers executed so far *)
@@ -146,6 +151,10 @@ val obj : t -> int -> obj
 
 val instance : t -> int -> instance
 
+val inst_body : t -> int -> Cfg.body option
+(** The body of an instance's method, looked up once when the instance
+    was interned. *)
+
 val is_synthetic_site : Instr.alloc_site -> bool
 
 val field_key : Instr.fref -> string
@@ -187,8 +196,3 @@ val intra_instances : t -> int -> IntSet.t
 (** Instances reachable from [entry] through ordinary (non-thread) call
     edges — the intra-thread closure. Memoized per entry; escape,
     threadify and the filters all share the one computation. *)
-
-val field_succs : t -> int -> IntSet.t
-(** Objects stored in any field of the given object. *)
-
-val static_objs : t -> IntSet.t

@@ -69,7 +69,6 @@ type templ = { t_use : bool; t_site : site; t_field : Instr.fref; t_objs : IntSe
 let collect_accesses ?deadline (tf : Threadify.t) : access list * access list =
   let checkpoint = deadline_checkpoint deadline in
   let pta = tf.Threadify.pta in
-  let prog = pta.Pta.prog in
   (* instance id -> its field accesses, in instruction order *)
   let templs : (int, templ list) Hashtbl.t = Hashtbl.create 256 in
   let templates_of inst_id =
@@ -78,7 +77,7 @@ let collect_accesses ?deadline (tf : Threadify.t) : access list * access list =
     | None ->
         let inst = Pta.instance pta inst_id in
         let acc = ref [] in
-        (match Prog.body prog inst.Pta.i_mref with
+        (match Pta.inst_body pta inst_id with
         | None -> ()
         | Some body ->
             Cfg.iter_instrs
@@ -156,16 +155,18 @@ let alias_memory (esc : Escape.t) (a : access) (b : access) =
 let may_alias (esc : Escape.t) (a : access) (b : access) =
   String.equal (field_key a.a_field) (field_key b.a_field) && alias_memory esc a b
 
-(* The race rule both joins share:
+(* The race rule:
      race(U, F) :- alias(U, F), use_at(U, K), free_at(F, K).
    [alias] is loaded as an EDB relation computed from points-to overlap.
    The body leads with [alias]: it is the sparsest relation (only
    genuinely aliasing pairs), so the join enumerates |alias| bindings and
    closes each with two indexed probes — leading with [use_at] made the
    engine walk every same-field use x free pair just to filter almost all
-   of them against [alias]. Both fact loaders insert [alias] in
-   (use index asc, free index asc) order so the derivation order, and
-   with it the warning order, is unchanged. *)
+   of them against [alias]. [alias] is inserted in (use index asc, free
+   index asc) order; the derivation order, and with it the warning
+   order, follows from it. U and F are row indices into the use and free
+   arrays, never read back by name, so they are loaded and read at the
+   id level (see {!Nadroid_datalog.Engine.facts_ids}). *)
 let solve_race db : (int * int) list =
   let v x = Nadroid_datalog.Engine.Var x in
   Nadroid_datalog.Engine.add_rule db
@@ -175,37 +176,34 @@ let solve_race db : (int * int) list =
       Nadroid_datalog.Engine.Pos (Nadroid_datalog.Engine.atom "use_at" [ v "u"; v "k" ]);
       Nadroid_datalog.Engine.Pos (Nadroid_datalog.Engine.atom "free_at" [ v "f"; v "k" ]);
     ];
-  List.filter_map
-    (fun row ->
-      match row with
-      | [| u; f |] ->
-          let ui = int_of_string (String.sub u 1 (String.length u - 1)) in
-          let fi = int_of_string (String.sub f 1 (String.length f - 1)) in
-          Some (ui, fi)
-      | _ -> None)
-    (Nadroid_datalog.Engine.query db "race")
+  List.map
+    (fun row -> (row.(0), row.(1)))
+    (Nadroid_datalog.Engine.query_ids db "race")
 
 (* Alias facts are generated per field bucket: accesses are grouped by
    interned field key first, so the pair enumeration is O(sum over
    fields of uses_f * frees_f) instead of the |uses| * |frees| global
-   cross-product with a string comparison per pair. The Datalog [race]
-   join itself is unchanged, mirroring Chord's bddbddb pipeline. *)
+   cross-product with a string comparison per pair. Field keys are
+   interned once per distinct field reference, not once per access. *)
 let candidate_join ?deadline ?max_tuples ?symbols (esc : Escape.t) (uses : access array)
     (frees : access array) : (int * int) list =
   let checkpoint = deadline_checkpoint deadline in
   let db = Nadroid_datalog.Engine.create ?symbols ?max_tuples () in
   let sym = Nadroid_datalog.Engine.symbols db in
-  let uid i = "u" ^ string_of_int i and fid i = "f" ^ string_of_int i in
-  (* intern every access's field key and row label once, up front; the
-     relations then load at the id level *)
-  let ukey_ids = Array.map (fun a -> Nadroid_datalog.Symbol.intern sym (field_key a.a_field)) uses in
-  let fkey_ids = Array.map (fun a -> Nadroid_datalog.Symbol.intern sym (field_key a.a_field)) frees in
-  let uid_ids = Array.init (Array.length uses) (fun i -> Nadroid_datalog.Symbol.intern sym (uid i)) in
-  let fid_ids = Array.init (Array.length frees) (fun i -> Nadroid_datalog.Symbol.intern sym (fid i)) in
+  let key_ids : (Instr.fref, int) Hashtbl.t = Hashtbl.create 64 in
+  let key_id (a : access) =
+    match Hashtbl.find_opt key_ids a.a_field with
+    | Some id -> id
+    | None ->
+        let id = Nadroid_datalog.Symbol.intern sym (field_key a.a_field) in
+        Hashtbl.add key_ids a.a_field id;
+        id
+  in
+  let ukey_ids = Array.map key_id uses and fkey_ids = Array.map key_id frees in
   Nadroid_datalog.Engine.facts_ids db "use_at"
-    (List.init (Array.length uses) (fun i -> [| uid_ids.(i); ukey_ids.(i) |]));
+    (List.init (Array.length uses) (fun i -> [| i; ukey_ids.(i) |]));
   Nadroid_datalog.Engine.facts_ids db "free_at"
-    (List.init (Array.length frees) (fun i -> [| fid_ids.(i); fkey_ids.(i) |]));
+    (List.init (Array.length frees) (fun j -> [| j; fkey_ids.(j) |]));
   (* bucket frees by interned key, then enumerate per-bucket pairs *)
   let buckets : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri
@@ -229,37 +227,16 @@ let candidate_join ?deadline ?max_tuples ?symbols (esc : Escape.t) (uses : acces
               checkpoint ();
               let b = frees.(j) in
               if a.a_thread <> b.a_thread && alias_memory esc a b then
-                alias := [| uid_ids.(i); fid_ids.(j) |] :: !alias)
+                alias := [| i; j |] :: !alias)
             !frees_of_key)
     uses;
   Nadroid_datalog.Engine.facts_ids db "alias" (List.rev !alias);
   solve_race db
 
-(* Reference oracle for the equivalence property test: the original
-   naive cross-product join, per-pair field-key comparison included. *)
-let candidate_join_naive (esc : Escape.t) (uses : access array) (frees : access array) :
-    (int * int) list =
-  let db = Nadroid_datalog.Engine.create () in
-  let uid i = "u" ^ string_of_int i and fid i = "f" ^ string_of_int i in
-  Array.iteri (fun i a -> Nadroid_datalog.Engine.fact db "use_at" [ uid i; field_key a.a_field ]) uses;
-  Array.iteri (fun i a -> Nadroid_datalog.Engine.fact db "free_at" [ fid i; field_key a.a_field ]) frees;
-  Array.iteri
-    (fun i a ->
-      Array.iteri
-        (fun j b ->
-          if a.a_thread <> b.a_thread && may_alias esc a b then
-            Nadroid_datalog.Engine.fact db "alias" [ uid i; fid j ])
-        frees)
-    uses;
-  solve_race db
-
-(* Detect all potential UAF warnings, deduplicated to (use site, free
-   site) pairs as in the paper ("each warning is a pair of free-use
-   operations", §8.3). *)
-let run_with ?deadline ~join (tf : Threadify.t) (esc : Escape.t) : warning list =
-  let uses_l, frees_l = collect_accesses ?deadline tf in
-  let uses = Array.of_list uses_l and frees = Array.of_list frees_l in
-  let pairs = join esc uses frees in
+(* Race pairs to warnings, deduplicated to (use site, free site) pairs as
+   in the paper ("each warning is a pair of free-use operations", §8.3). *)
+let of_pairs (uses : access array) (frees : access array) (pairs : (int * int) list) :
+    warning list =
   (* pair membership is tracked per warning in a hash set (the pair list
      used to be scanned with [List.mem], quadratic in pairs); the
      accumulated [w_pairs] order is unchanged. Warnings dedup on the
@@ -297,13 +274,14 @@ let run_with ?deadline ~join (tf : Threadify.t) (esc : Escape.t) : warning list 
   List.rev_map (fun key -> !(fst (Hashtbl.find table key))) !order
 
 let run ?deadline ?max_tuples ?symbols tf esc =
-  try run_with ?deadline ~join:(candidate_join ?deadline ?max_tuples ?symbols) tf esc
-  with Nadroid_datalog.Relation.Out_of_budget ->
-    (* the candidate join blew the relation cardinality ceiling; unlike
-       the PTA there is no coarser precision to fall back to, so this is
-       a hard budget fault *)
-    raise (Fault.Fault (Fault.Budget Fault.P_detect))
-
-let run_reference tf esc = run_with ~join:candidate_join_naive tf esc
+  let uses_l, frees_l = collect_accesses ?deadline tf in
+  let uses = Array.of_list uses_l and frees = Array.of_list frees_l in
+  match candidate_join ?deadline ?max_tuples ?symbols esc uses frees with
+  | pairs -> of_pairs uses frees pairs
+  | exception Nadroid_datalog.Relation.Out_of_budget ->
+      (* the candidate join blew the relation cardinality ceiling; unlike
+         the PTA there is no coarser precision to fall back to, so this is
+         a hard budget fault *)
+      raise (Fault.Fault (Fault.Budget Fault.P_detect))
 
 let n_warnings = List.length

@@ -61,7 +61,8 @@ val run :
     in the paper ("each warning is a pair of free-use operations").
     The candidate join buckets accesses by interned field key before
     generating alias facts, so pair enumeration is linear in the
-    per-field use/free products.
+    per-field use/free products; its Datalog relations hold use and
+    free row indices, loaded and read back at the id level.
 
     [deadline] (absolute instant) is sampled periodically during access
     collection and alias enumeration; [max_tuples] caps the Datalog
@@ -71,9 +72,10 @@ val run :
     [symbols] hands the join's Datalog engine a shared (batch-wide)
     interning table; results are byte-identical with or without it. *)
 
-val run_reference : Threadify.t -> Escape.t -> warning list
-(** Oracle for the equivalence property test: identical semantics to
-    {!run}, but alias facts come from the naive uses x frees
-    cross-product with a per-pair field-key comparison. *)
+val of_pairs : access array -> access array -> (int * int) list -> warning list
+(** [of_pairs uses frees pairs]: the warnings of race pairs (indices
+    into [uses] and [frees]), deduplicated to (use site, free site)
+    pairs in first-seen order. {!run} ends with it; the join oracles in
+    the tests share it. *)
 
 val n_warnings : warning list -> int

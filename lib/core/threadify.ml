@@ -95,11 +95,11 @@ let kind_of_edge (sema : Sema.t) (e : Pta.call_edge) ~(callee : Pta.instance) : 
 
 let run ?deadline (pta : Pta.t) : t =
   let sema = pta.Pta.prog.Prog.sema in
-  (* One wall-clock check per thread expansion: each expansion scans the
-     API edge list, so the overrun past an expired deadline is bounded
-     by one scan. A partial forest would silently lose coverage (missing
-     threads = missed warnings), so expiry here is a hard fault, not a
-     degradation. *)
+  (* One wall-clock check per thread expansion, and an expansion only
+     walks the API edges leaving its own instances, so the overrun past
+     an expired deadline is bounded by one expansion. A partial forest
+     would silently lose coverage (missing threads = missed warnings), so
+     expiry here is a hard fault, not a degradation. *)
   let checkpoint =
     match deadline with
     | None -> fun () -> ()
@@ -128,51 +128,51 @@ let run ?deadline (pta : Pta.t) : t =
         th_component = None;
       }
   in
-  let intra entry = Pta.intra_instances pta entry in
-  (* Expansion only reacts to API edges, and they are a small minority of
-     the edge list; filtering once keeps each expansion from rescanning
-     every ordinary call edge. The filtered list is a subsequence of the
-     edge list, so children are still created in edge-list order. *)
-  let api_edges =
-    List.filter
-      (fun (e : Pta.call_edge) ->
-        match e.Pta.ce_kind with Pta.E_api _ -> true | Pta.E_ordinary -> false)
-      (Pta.edges pta)
+  (* API edges by caller instance, each tagged with its position in the
+     edge list. A thread gathers the edges leaving its own instances and
+     sorts them by position, so children are created in edge-list order
+     without rescanning every API edge of the program per thread. *)
+  let api_out = Array.make (max 1 (Pta.n_instances pta)) [] in
+  List.iteri
+    (fun pos (e : Pta.call_edge) ->
+      match e.Pta.ce_kind with
+      | Pta.E_api _ -> api_out.(e.Pta.ce_from) <- (pos, e) :: api_out.(e.Pta.ce_from)
+      | Pta.E_ordinary -> ())
+    (Pta.edges pta);
+  let edges_leaving insts =
+    List.map snd
+      (List.sort
+         (fun (p, _) (q, _) -> Int.compare p q)
+         (IntSet.fold (fun i acc -> List.rev_append api_out.(i) acc) insts []))
   in
   (* expand a thread: find API edges inside it and create children *)
   let rec expand (th : thread) (ancestors : int list) =
     checkpoint ();
-    if th.th_entry >= 0 && not (List.mem th.th_entry ancestors) then begin
-      let insts = intra th.th_entry in
+    if th.th_entry >= 0 && not (List.mem th.th_entry ancestors) then
       List.iter
         (fun (e : Pta.call_edge) ->
-          match e.Pta.ce_kind with
-          | Pta.E_ordinary -> ()
-          | Pta.E_api _ when IntSet.mem e.Pta.ce_from insts ->
-              let callee = Pta.instance pta e.Pta.ce_to in
-              let kind = kind_of_edge sema e ~callee in
-              let parent =
-                match kind with
-                | Entry_cb _ -> main  (* UI listeners hang off the dummy main *)
-                | Posted_cb _ | Native_thread | Async_background | Dummy_main -> th
-              in
-              let child =
-                add
-                  {
-                    th_id = !n;
-                    th_kind = kind;
-                    th_entry = e.Pta.ce_to;
-                    th_parent = Some parent.th_id;
-                    th_origin = O_edge e;
-                    th_class = callee.Pta.i_mref.Instr.mr_class;
-                    th_method = callee.Pta.i_mref.Instr.mr_name;
-                    th_component = th.th_component;
-                  }
-              in
-              expand child (th.th_entry :: ancestors)
-          | Pta.E_api _ -> ())
-        api_edges
-    end
+          let callee = Pta.instance pta e.Pta.ce_to in
+          let kind = kind_of_edge sema e ~callee in
+          let parent =
+            match kind with
+            | Entry_cb _ -> main  (* UI listeners hang off the dummy main *)
+            | Posted_cb _ | Native_thread | Async_background | Dummy_main -> th
+          in
+          let child =
+            add
+              {
+                th_id = !n;
+                th_kind = kind;
+                th_entry = e.Pta.ce_to;
+                th_parent = Some parent.th_id;
+                th_origin = O_edge e;
+                th_class = callee.Pta.i_mref.Instr.mr_class;
+                th_method = callee.Pta.i_mref.Instr.mr_name;
+                th_component = th.th_component;
+              }
+          in
+          expand child (th.th_entry :: ancestors))
+        (edges_leaving (Pta.intra_instances pta th.th_entry))
   in
   List.iter
     (fun (r : Pta.root) ->

@@ -43,8 +43,16 @@ val on_looper : thread -> bool
 
 val is_callback : thread -> bool
 
+val kind_of_edge : Nadroid_lang.Sema.t -> Pta.call_edge -> callee:Pta.instance -> kind
+(** The kind of thread an API edge creates, from the API kind and the
+    callee's method name.
+    @raise Invalid_argument on an edge that creates no thread. *)
+
 val run : ?deadline:float -> Pta.t -> t
-(** Build the thread forest. [deadline] (absolute monotonic
+(** Build the thread forest. A thread's children come from the API edges
+    leaving its own intra-thread instances, found through an index by
+    caller and created in edge-list order, so the work grows with the
+    forest, not with threads x API edges. [deadline] (absolute monotonic
     {!Nadroid_clock.Clock.now} instant) is checked once per thread expansion; a partial forest would
     silently drop warnings, so expiry raises
     [Fault (Budget P_modeling)] rather than degrading. *)

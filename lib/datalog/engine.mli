@@ -50,10 +50,14 @@ val facts : t -> string -> string list list -> unit
     up once for the whole batch. Equivalent to [List.iter (fact t pred)]. *)
 
 val facts_ids : t -> string -> int array list -> unit
-(** [facts_ids t pred tuples] bulk-loads EDB tuples whose columns are
-    already interned symbol ids (see {!symbols}); each array becomes the
-    stored tuple. Equivalent to the {!facts} of the corresponding names,
-    without the per-tuple string traffic. *)
+(** [facts_ids t pred tuples] bulk-loads EDB tuples given as ints; each
+    array becomes the stored tuple. Where the columns are interned
+    symbol ids (see {!symbols}) this is the {!facts} of the
+    corresponding names, without the per-tuple string traffic. A column
+    need not hold symbols when the client never reads it back by name
+    ({!mem}, {!query}) and never joins it with a named column: evaluation
+    only compares values, so such a column may carry any ints (row
+    indices, say) and be read back with {!query_ids}. *)
 
 val atom : string -> term list -> atom
 
@@ -68,6 +72,11 @@ val solve : t -> unit
 val mem : t -> string -> string list -> bool
 
 val query : t -> string -> string array list
-(** All tuples of a predicate, with names restored. *)
+(** All tuples of a predicate, with names restored, last-inserted
+    first. *)
+
+val query_ids : t -> string -> int array list
+(** {!query} at the id level: the same rows in the same order, as the
+    stored int tuples (not to be mutated), with no name lookup. *)
 
 val cardinal : t -> string -> int

@@ -900,6 +900,36 @@ let human_batch_with_faulting_file () =
            files)
         (markers (run ~timings:true 2)))
 
+(* A cache hit replays the stored entry, metrics included: with
+   --timings, a warm run says its phase times are the storing run's, and
+   a cold run does not. Without --timings, stdout is the same cached or
+   not. *)
+let timings_on_cache_hit_say_so () =
+  with_dir (fun dir ->
+      with_dir @@ fun cache_dir ->
+      Unix.mkdir dir 0o755;
+      let app = List.hd (Lazy.force Corpus.all) in
+      let file = Filename.concat dir (app.Corpus.name ^ ".mand") in
+      write_file file app.Corpus.source;
+      let cache = [ "--cache"; "--cache-dir"; cache_dir ] in
+      let run args =
+        match run_cli_err ([ "analyze" ] @ args @ [ file ]) with
+        | Unix.WEXITED 0, out, _ -> out
+        | s, _, err -> Alcotest.failf "analyze %s: %s %s" (String.concat " " args)
+                         (Supervise.status_string s) err
+      in
+      let says_reused out = is_infix "reused result: phase times are from the run that stored it" out in
+      let plain = run [] in
+      let cold = run (cache @ [ "--timings" ]) in
+      let warm = run (cache @ [ "--timings" ]) in
+      Alcotest.(check bool) "cold run: no reuse line" false (says_reused cold);
+      Alcotest.(check bool) "warm run: reuse line" true (says_reused warm);
+      Alcotest.(check bool) "the line sits above the phase table" true
+        (is_infix "stored it\nanalysis phases:" warm);
+      Alcotest.(check string) "without --timings, a cache hit prints the same" plain
+        (run cache);
+      Alcotest.(check string) "and so does an uncached run" plain (run []))
+
 (* -- blast-radius fuzzing ------------------------------------------------ *)
 
 let faultfuzz_smoke () =
@@ -996,6 +1026,8 @@ let suite =
           stream_sigkill_then_resume_is_byte_identical;
         Alcotest.test_case "human report: headers in order, fault on stderr, jobs-invariant"
           `Quick human_batch_with_faulting_file;
+        Alcotest.test_case "--timings on a cache hit says the times are the storing run's"
+          `Quick timings_on_cache_hit_say_so;
       ] );
     ( "crash-fuzz",
       [ Alcotest.test_case "seeded fuzz over all seams: 0 escapes" `Quick faultfuzz_smoke ]

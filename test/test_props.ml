@@ -117,7 +117,7 @@ let indexed_join_equals_naive =
              ws)
       in
       norm (Detect.run t.Pipeline.threads t.Pipeline.esc)
-      = norm (Detect.run_reference t.Pipeline.threads t.Pipeline.esc))
+      = norm (Backend_oracle.detect ~join:Backend_oracle.naive_join t.Pipeline.threads t.Pipeline.esc))
 
 (* Parallel corpus analysis must be invisible: app-for-app, the rendered
    report at jobs=4 is byte-identical to jobs=1 (each app's analysis is
