@@ -105,6 +105,13 @@ let tests =
         match Engine.query db "path" with
         | [ [| "a"; "b" |] ] -> ()
         | rows -> Alcotest.failf "unexpected rows (%d)" (List.length rows));
+    Alcotest.test_case "query_ids gives query's rows in query's order" `Quick (fun () ->
+        let db = path_db [ ("a", "b"); ("b", "c"); ("c", "d"); ("d", "e") ] in
+        let rows = Engine.query db "path" in
+        Alcotest.(check int) "10 rows" 10 (List.length rows);
+        Alcotest.(check (list (array string)))
+          "same rows, same order" rows
+          (List.map (Array.map (Symbol.name (Engine.symbols db))) (Engine.query_ids db "path")));
   ]
 
 (* Reference naive evaluator for reachability, to compare against. *)
