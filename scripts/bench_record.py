@@ -2,7 +2,7 @@
 """Record a benchmark point, or check the program against one.
 
     python3 scripts/bench_record.py record [--out BENCH_16.json]
-    python3 scripts/bench_record.py check [--point BENCH_19.json]
+    python3 scripts/bench_record.py check [--point BENCH_21.json]
 
 Run from the repository root.
 
@@ -118,7 +118,7 @@ def main():
     rec = sub.add_parser("record", help="run the benchmark and write a point")
     rec.add_argument("--out", default="BENCH_16.json")
     chk = sub.add_parser("check", help="compare corpus-seq against a recorded point")
-    chk.add_argument("--point", default="BENCH_19.json")
+    chk.add_argument("--point", default="BENCH_21.json")
     args = ap.parse_args()
     if args.mode == "record":
         record(args)
