@@ -221,6 +221,7 @@ let analyze_cmd =
       Fmt.epr "--stream and --json are mutually exclusive@.";
       exit 2
     end;
+    let jobs = Nadroid_core.Parallel.clamp_jobs jobs in
     (* force the shared builtin-program lazy before any domain spawns *)
     ignore (Lazy.force Nadroid_lang.Builtins.program);
     (* SIGTERM stops the batch at the next task boundary: files already
@@ -258,11 +259,9 @@ let analyze_cmd =
           let result =
             match spool with
             | Some sp ->
-                Result.map
-                  (fun e -> (e, Cache.Miss))
-                  (Supervise.analyze sp ~config
-                     ?cache:(Option.map (fun dir -> (dir, cache_max_bytes)) dir)
-                     ~file:path src)
+                Supervise.analyze_outcome sp ~config
+                  ?cache:(Option.map (fun dir -> (dir, cache_max_bytes)) dir)
+                  ~file:path src
             | None ->
                 Fault.wrap (fun () ->
                     Cache.analyze ~config ?max_bytes:cache_max_bytes ?dir ~file:path src)
@@ -435,7 +434,7 @@ let serve_cmd =
     let config =
       {
         Server.default_config with
-        Server.jobs;
+        Server.jobs = Option.map Nadroid_core.Parallel.clamp_jobs jobs;
         cache_dir;
         cache_max_bytes;
         default_deadline;

@@ -199,33 +199,36 @@ let no_obj =
 let no_instance = { i_id = 0; i_mref = { Instr.mr_class = ""; mr_name = "" }; i_ctx = [] }
 
 let create ?(k = 2) ?budget ?tuple_budget ?deadline (prog : Prog.t) : t =
-  (* Tables start at the size the program is likely to need — on the
-     corpus a solve ends with about 8 cells, 2 objects and 1 to 1.5
-     instances per method — so the solve does not spend itself growing
-     them and rehashing string-bearing keys. *)
-  let methods = Hashtbl.length prog.Prog.bodies in
-  let field_ids = Hashtbl.create methods in
+  (* Tables start at the size the solve is likely to need, so it does
+     not spend itself growing them and rehashing string-bearing keys.
+     The size follows the allocation sites, which track what the solve
+     reaches: per site, a solve ends with about 1.2 instances, 2 objects
+     and 7 cells on the corpus and on generated fleets alike. The
+     declared method count would over-size a generated fleet app about
+     7x, since the solve reaches one of its methods in eight. *)
+  let sites = Sema.n_alloc_sites (Prog.sema prog) in
+  let field_ids = Hashtbl.create sites in
   let thread_target_id = 0 in
   Hashtbl.add field_ids "Thread.target" thread_target_id;
   {
     prog;
     k;
     field_ids;
-    fref_ids = Hashtbl.create methods;
+    fref_ids = Hashtbl.create sites;
     thread_target_id;
-    obj_ids = Hashtbl.create (2 * methods);
-    objs = Array.make (max 256 (2 * methods)) no_obj;
+    obj_ids = Hashtbl.create (2 * sites);
+    objs = Array.make (max 256 (2 * sites)) no_obj;
     n_objs = 0;
-    inst_ids = Hashtbl.create methods;
-    insts = Array.make (max 256 methods) no_instance;
-    inst_bodies = Array.make (max 256 methods) None;
+    inst_ids = Hashtbl.create sites;
+    insts = Array.make (max 256 sites) no_instance;
+    inst_bodies = Array.make (max 256 sites) None;
     n_insts = 0;
-    pts = NodeTbl.create (8 * methods);
-    edge_seen = Hashtbl.create methods;
+    pts = NodeTbl.create (8 * sites);
+    edge_seen = Hashtbl.create sites;
     edges = [];
     roots = [];
-    synth_sites = Hashtbl.create methods;
-    synth_args = Hashtbl.create methods;
+    synth_sites = Hashtbl.create sites;
+    synth_args = Hashtbl.create sites;
     changed = false;
     passes = 0;
     steps = 0;
@@ -233,15 +236,15 @@ let create ?(k = 2) ?budget ?tuple_budget ?deadline (prog : Prog.t) : t =
     tuples = 0;
     tuple_budget;
     deadline;
-    sched_cur = Bytes.make (max 256 methods) '\000';
-    sched_next = Bytes.make (max 256 methods) '\000';
+    sched_cur = Bytes.make (max 256 sites) '\000';
+    sched_next = Bytes.make (max 256 sites) '\000';
     pending_next = 0;
     cursor = -1;
     round_limit = 0;
     tracking = false;
     visits = 0;
     succ_idx = None;
-    intra_cache = Hashtbl.create methods;
+    intra_cache = Hashtbl.create sites;
   }
 
 let obj t id = t.objs.(id)
@@ -451,10 +454,10 @@ let dispatch_objs t ~caller ~instr ~kind ~objs ~meth ~arg_pts ~dst =
   IntSet.iter
     (fun oid ->
       let cls = obj_class (obj t oid) in
-      match Sema.dispatch t.prog.Prog.sema cls meth with
+      match Sema.dispatch (Prog.sema t.prog) cls meth with
       | None -> ()
       | Some m ->
-          let decl = Sema.get_class t.prog.Prog.sema m.Sema.rm_class in
+          let decl = Sema.get_class (Prog.sema t.prog) m.Sema.rm_class in
           let real_builtin_body =
             match (m.Sema.rm_class, m.Sema.rm_name) with
             | "Thread", "init" | "Message", "init" -> true
@@ -494,7 +497,7 @@ let transfer_call t ~caller (instr : Instr.t) dst recv ms args =
       dispatch_objs t ~caller ~instr ~kind:E_ordinary ~objs:recv_pts ~meth:ms.Sema.ms_name
         ~arg_pts ~dst;
       (* opaque framework factory methods return synthetic objects *)
-      if Api.opaque_builtin t.prog.Prog.sema ms then begin
+      if Api.opaque_builtin (Prog.sema t.prog) ms then begin
         match (dst, ms.Sema.ms_ret) with
         | Some d, Ast.Tclass cls ->
             add_pts t (var d) (synth_arg t ~caller ~instr ~cls)
@@ -597,7 +600,7 @@ let transfer_returns t ~caller (body : Cfg.body) =
 (* -- roots ---------------------------------------------------------------- *)
 
 let seed_roots t =
-  let sema = t.prog.Prog.sema in
+  let sema = Prog.sema t.prog in
   let components = Component.discover sema in
   List.iter
     (fun (comp : Component.t) ->

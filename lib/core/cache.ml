@@ -24,7 +24,7 @@
    layout — the cache entry, the journal record, the worker request and
    reply, and [Pipeline.metrics], which entries embed. Every frame
    carries it, and a frame of another version is never unmarshalled. *)
-let version = "nadroid-9"
+let version = "nadroid-10"
 
 let default_dir = "_nadroid_cache"
 

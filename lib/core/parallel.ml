@@ -10,6 +10,15 @@
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
+let clamp_jobs jobs =
+  let most = default_jobs () in
+  if jobs <= most then jobs
+  else begin
+    Printf.eprintf "note: --jobs %d is above this machine's %d recommended domain(s); using %d\n%!"
+      jobs most most;
+    most
+  end
+
 module Pool = struct
   type t = {
     m : Mutex.t;

@@ -11,6 +11,14 @@
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
 
+val clamp_jobs : int -> int
+(** A requested [--jobs], lowered to {!default_jobs} when above it, with
+    one line on stderr saying so: more domains than cores only
+    oversubscribes them, and every extra domain joins each minor
+    collection. {!stream} and {!Pool.create} take their [jobs] as
+    given; the commands that read [--jobs] from a user clamp it here
+    first. *)
+
 module Pool : sig
   type t
   (** A fixed set of worker domains sharing one task queue. *)

@@ -170,6 +170,15 @@ let analyze_prog ?auto_tuples ?(config = default_config) ?interner
      cost we attribute to detection as in the paper; modeling time covers
      forest construction *)
   let t0 = Clock.now () in
+  (* Methods are lowered when a phase first asks for their bodies, in
+     practice inside points-to. That time is charged to lowering, not to
+     the phase that asked. *)
+  let lowered0 = Prog.lower_time prog in
+  let time f =
+    let l0 = Prog.lower_time prog in
+    let r, dt = time f in
+    (r, dt -. (Prog.lower_time prog -. l0))
+  in
   let deadline = Option.map (fun d -> t0 +. d) config.budgets.deadline in
   (* The auto-derived (size-calibrated) ceiling guards the points-to
      table only: PTA can fall down the k ladder when it trips, so the
@@ -224,7 +233,7 @@ let analyze_prog ?auto_tuples ?(config = default_config) ?interner
     {
       m_frontend_parse = frontend.ft_parse;
       m_frontend_sema = frontend.ft_sema;
-      m_frontend_lower = frontend.ft_lower;
+      m_frontend_lower = frontend.ft_lower +. (Prog.lower_time prog -. lowered0);
       m_pta = t_pta;
       m_aux = t_aux;
       m_threadify = t_model;

@@ -78,12 +78,14 @@ val create_interner : unit -> interner
 (** Per-phase wall times plus per-filter prune counts. Every timed
     region of the analysis is attributed to exactly one field, so
     {!phase_sum} equals [m_wall] up to the plumbing between clock
-    reads. The [m_frontend_*] fields are zero when the caller entered
-    at {!analyze_prog} with an already-built program. *)
+    reads. [m_frontend_parse] and [m_frontend_sema] are zero when the
+    caller entered at {!analyze_prog} with an already-built program. *)
 type metrics = {
   m_frontend_parse : float;  (** lexing and parsing (the parser pulls from the lexer) *)
   m_frontend_sema : float;  (** name/type resolution *)
-  m_frontend_lower : float;  (** lowering to the CFG IR *)
+  m_frontend_lower : float;
+      (** lowering to the CFG IR, wherever it happened: methods are
+          lowered on demand, mostly while points-to reaches them *)
   m_pta : float;  (** points-to analysis *)
   m_aux : float;  (** escape + lockset analyses *)
   m_threadify : float;  (** forest construction (= modeling) *)

@@ -40,7 +40,8 @@ type request = {
   q_cache : (string * int option) option;  (** cache dir, max bytes *)
 }
 
-type reply = (Cache.entry, Fault.t) result
+(* The entry, with whether the worker's cache served it. *)
+type reply = (Cache.entry * Cache.outcome, Fault.t) result
 
 let request_kind : request Cache.kind = Cache.kind "worker-request"
 
@@ -185,7 +186,7 @@ let analyze_request (q : request) : reply =
          manufacture the crashes the supervisor exists to survive *)
       Faultinject.trip ~key:(Filename.basename q.q_file) Faultinject.Worker_task;
       let dir = Option.map fst q.q_cache and max_bytes = Option.bind q.q_cache snd in
-      fst (Cache.analyze ~config:q.q_config ?max_bytes ?dir ~file:q.q_file q.q_source))
+      Cache.analyze ~config:q.q_config ?max_bytes ?dir ~file:q.q_file q.q_source)
 
 let worker_main () =
   (* claim the reply pipe: move it to a private fd and point fd 1 at
@@ -400,7 +401,7 @@ let attempt t w request : (reply, string) result =
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "worker pipe: %s" (Unix.error_message e))
 
-let analyze t ~(config : Pipeline.config) ?cache ~file (source : string) : reply =
+let analyze_outcome t ~(config : Pipeline.config) ?cache ~file (source : string) : reply =
   let request =
     Cache.encode request_kind
       { q_file = file; q_source = source; q_config = config; q_cache = cache }
@@ -429,6 +430,9 @@ let analyze t ~(config : Pipeline.config) ?cache ~file (source : string) : reply
             else go crashes)
   in
   go 0
+
+let analyze t ~config ?cache ~file source =
+  Result.map fst (analyze_outcome t ~config ?cache ~file source)
 
 let shutdown t =
   Mutex.lock t.m;

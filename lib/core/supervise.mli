@@ -51,6 +51,17 @@ val analyze :
     the analysis come back as [Error]; a worker crash retries once on a
     fresh worker and then quarantines the app. *)
 
+val analyze_outcome :
+  t ->
+  config:Pipeline.config ->
+  ?cache:string * int option ->
+  file:string ->
+  string ->
+  (Cache.entry * Cache.outcome, Fault.t) result
+(** {!analyze}, with the worker's cache outcome: [Hit] when its cache
+    served the entry, [Miss] when it analysed the app ([Miss] always
+    without [cache]). *)
+
 val shutdown : t -> unit
 (** Wait for checked-out workers to come home, then close their request
     pipes (EOF = clean worker exit) and reap them. Idempotent; later
@@ -58,7 +69,7 @@ val shutdown : t -> unit
 
 (**/**)
 
-val reply_kind : (Cache.entry, Fault.t) result Cache.kind
+val reply_kind : (Cache.entry * Cache.outcome, Fault.t) result Cache.kind
 (** The frame kind of a worker's reply (tests). *)
 
 type reader

@@ -94,7 +94,7 @@ let kind_of_edge (sema : Sema.t) (e : Pta.call_edge) ~(callee : Pta.instance) : 
       invalid_arg "Threadify.kind_of_edge: non-thread-creating API edge"
 
 let run ?deadline (pta : Pta.t) : t =
-  let sema = pta.Pta.prog.Prog.sema in
+  let sema = Prog.sema pta.Pta.prog in
   (* One wall-clock check per thread expansion, and an expansion only
      walks the API edges leaving its own instances, so the overrun past
      an expired deadline is bounded by one expansion. A partial forest

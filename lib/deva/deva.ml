@@ -110,7 +110,7 @@ let unsoundly_protected (prog : Prog.t) (m : Sema.rmeth) (ins : Instr.t) =
       Guards.is_guarded_use g ~instr:ins || Guards.is_must_alloc_use g ~instr:ins
 
 let run (prog : Prog.t) : warning list =
-  let sema = prog.Prog.sema in
+  let sema = Prog.sema prog in
   let roots =
     List.sort_uniq String.compare
       (List.filter_map

@@ -103,7 +103,7 @@ let npe_matches (prog : Prog.t) (w : Detect.warning) (npe : Interp.npe) =
    free sites plus their enclosing (outer) classes — the activities whose
    events drive those callbacks. *)
 let warning_classes (prog : Prog.t) (w : Detect.warning) : string list =
-  let sema = prog.Prog.sema in
+  let sema = Prog.sema prog in
   let rec outers cls acc =
     match (Sema.get_class sema cls).Sema.rc_outer with
     | Some o -> outers o (o :: acc)

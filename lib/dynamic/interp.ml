@@ -192,10 +192,10 @@ let rec exec_body (t : t) (body : Cfg.body) (recv : Value.t) (args : Value.t lis
               | Value.Vnull -> npe_at body ins
               | Value.Vobj id -> (
                   let cls = Heap.class_of t.heap id in
-                  match Sema.dispatch t.prog.Prog.sema cls ms.Sema.ms_name with
+                  match Sema.dispatch (Prog.sema t.prog) cls ms.Sema.ms_name with
                   | Some m
                     when not
-                           (Api.opaque_builtin t.prog.Prog.sema
+                           (Api.opaque_builtin (Prog.sema t.prog)
                               {
                                 Sema.ms_class = m.Sema.rm_class;
                                 ms_name = m.Sema.rm_name;

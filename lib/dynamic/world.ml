@@ -304,7 +304,7 @@ and handle_api (w : t) ~(recv : Value.t) ~(ms : Sema.method_sig) ~(args : Value.
 
 let create ?(resume_on_npe = false) (prog : Prog.t) : t =
   let heap = Heap.create () in
-  let components = Component.discover prog.Prog.sema in
+  let components = Component.discover (Prog.sema prog) in
   let activities =
     List.filter_map
       (fun (c : Component.t) ->
@@ -603,7 +603,7 @@ let perform (w : t) (action : action) : unit =
         (fun a ->
           if String.equal a.act_cls cls then begin
             let args =
-              match Sema.dispatch w.prog.Prog.sema cls cb with
+              match Sema.dispatch (Prog.sema w.prog) cls cb with
               | Some m ->
                   List.map
                     (fun (ty, _) ->

@@ -24,8 +24,18 @@ type st = {
   mutable cur : Cfg.block;  (* [b_instrs] held in reverse emission order
                                until [lower_method] finalizes *)
   mutable terminated : bool;  (* whether [cur] already has a real terminator *)
-  locals : (string, Instr.var) Hashtbl.t;  (* unique local name -> slot *)
+  mutable locals : (string * Instr.var) list;  (* unique local name -> slot *)
+  mutable n_locals : int;  (* length of [locals] *)
+  mutable locals_tbl : (string, Instr.var) Hashtbl.t option;
+      (* every local, once there are more than [spill_locals]; [locals]
+         then stops growing *)
 }
+
+(* Most methods declare a handful of locals, and an association list
+   costs them no table; past this many the lookups go through a hash
+   table, so a method with thousands of locals still lowers in linear
+   time. *)
+let spill_locals = 16
 
 let sentinel_term = Cfg.Goto (-1)
 
@@ -60,8 +70,25 @@ let set_term st term =
     st.terminated <- true
   end
 
+let bind_local st name v =
+  match st.locals_tbl with
+  | Some tbl -> Hashtbl.replace tbl name v
+  | None ->
+      st.locals <- (name, v) :: st.locals;
+      st.n_locals <- st.n_locals + 1;
+      if st.n_locals > spill_locals then begin
+        let tbl = Hashtbl.create (4 * spill_locals) in
+        List.iter (fun (n, v) -> Hashtbl.replace tbl n v) (List.rev st.locals);
+        st.locals_tbl <- Some tbl
+      end
+
 let local st name =
-  match Hashtbl.find_opt st.locals name with
+  let found =
+    match st.locals_tbl with
+    | Some tbl -> Hashtbl.find_opt tbl name
+    | None -> List.assoc_opt name st.locals
+  in
+  match found with
   | Some v -> v
   | None ->
       (* locals are pre-registered; reaching here is a lowering bug *)
@@ -230,7 +257,7 @@ let rec lower_stmt st (s : Sema.rstmt) =
   match s.Sema.rs with
   | Sema.Rdecl (_, x, init) -> (
       let v = fresh_var st x in
-      Hashtbl.replace st.locals x v;
+      bind_local st x v;
       match init with
       | None -> ()
       | Some ({ Sema.re = Sema.Rnull; _ } as e) ->
@@ -315,17 +342,19 @@ let lower_method (sema : Sema.t) (m : Sema.rmeth) : Cfg.body =
       blocks = [ entry ];
       cur = entry;
       terminated = false;
-      locals = Hashtbl.create 16;
+      locals = [];
+      n_locals = 0;
+      locals_tbl = None;
     }
   in
   let this = fresh_var st "this" in
-  Hashtbl.replace st.locals "this" this;
+  bind_local st "this" this;
   let params =
     this
     :: List.map
          (fun (_, name) ->
            let v = fresh_var st name in
-           Hashtbl.replace st.locals name v;
+           bind_local st name v;
            v)
          m.Sema.rm_params
   in

@@ -14,7 +14,7 @@
    All checks (class hierarchy well-formedness, typing, override
    compatibility) raise {!Diag.Error} on failure. *)
 
-module SMap = Map.Make (String)
+module Tbl = Hashtbl.Make (String)
 
 (* -- resolved representation ------------------------------------------ *)
 
@@ -85,15 +85,21 @@ type rcls = {
   rc_loc : Loc.t;
 }
 
+(* The class table is hashed: every name resolution, dispatch and
+   framework-model query probes it, and a string-keyed balanced map paid
+   a string comparison per tree level. *)
 type t = {
-  classes : rcls SMap.t;
+  classes : rcls Tbl.t;
   order : string list;  (** declaration order: builtins first, then user classes *)
+  mutable n_sites : int;  (** [new] expressions resolved so far *)
 }
 
 (* -- hierarchy queries -------------------------------------------------- *)
 
+let find_class prog name = Tbl.find_opt prog.classes name
+
 let get_class prog name =
-  match SMap.find_opt name prog.classes with
+  match Tbl.find_opt prog.classes name with
   | Some c -> c
   | None -> Diag.error "unknown class %s" name
 
@@ -161,19 +167,19 @@ let fold_methods prog f acc =
       List.fold_left (fun acc m -> f acc c m) acc c.rc_methods)
     acc prog.order
 
+let n_alloc_sites prog = prog.n_sites
+
 (* -- resolution environment -------------------------------------------- *)
 
 type env = {
-  prog_sketch : rcls SMap.t;  (* classes with fields/sigs but unresolved bodies *)
-  order_sketch : string list;
+  prog : t;  (* the class table; resolution reads fields and signatures only *)
   cls : string;  (* current class *)
+  chain : string list;  (* [cls], then its enclosing classes ({!outer_chain}) *)
   mutable scopes : (string * (Ast.ty * string)) list list;
       (* source name -> (type, unique name); innermost scope first *)
   mutable fresh : int;
   ret : Ast.ty;
 }
-
-let sketch_prog env : t = { classes = env.prog_sketch; order = env.order_sketch }
 
 let push_scope env = env.scopes <- [] :: env.scopes
 
@@ -207,20 +213,19 @@ let find_local env name =
   in
   go env.scopes
 
-(* The chain of enclosing classes for capture resolution: the current
-   class first, then its outers. Each hop corresponds to one implicit
-   [outer] field read. *)
-let outer_chain env : string list =
-  let prog = sketch_prog env in
+(* The chain of enclosing classes for capture resolution: the class
+   first, then its outers. Each hop corresponds to one implicit [outer]
+   field read. *)
+let outer_chain prog cls : string list =
   let rec go name acc =
     let c = get_class prog name in
     match c.rc_outer with None -> List.rev (name :: acc) | Some o -> go o (name :: acc)
   in
-  go env.cls []
+  go cls []
 
 (* Build [this.outer.outer...] with [hops] outer reads. *)
 let outer_access env ~loc hops =
-  let prog = sketch_prog env in
+  let prog = env.prog in
   let rec go expr cls hops =
     if hops = 0 then expr
     else
@@ -247,7 +252,7 @@ let class_of_ty ~loc ty =
 
 let rec resolve_expr env (e : Ast.expr) : rexpr =
   let loc = e.Ast.eloc in
-  let prog = sketch_prog env in
+  let prog = env.prog in
   match e.Ast.e with
   | Ast.Null -> { re = Rnull; rty = Ast.Tclass "<null>"; rloc = loc }
   | Ast.This -> { re = Rthis; rty = Ast.Tclass env.cls; rloc = loc }
@@ -273,18 +278,16 @@ let rec resolve_expr env (e : Ast.expr) : rexpr =
       let r = resolve_expr env r in
       let rcls = class_of_ty ~loc:r.rloc r.rty in
       resolve_call env ~loc r rcls m args
-  | Ast.New (cname, args) -> (
-      match SMap.find_opt cname prog.classes with
-      | None -> Diag.error ~loc "unknown class %s" cname
-      | Some c ->
-          let init = lookup_method prog cname "init" in
-          let args = List.map (resolve_expr env) args in
-          (match (init, args) with
-          | None, [] -> ()
-          | None, _ :: _ -> Diag.error ~loc "class %s has no init method but got arguments" cname
-          | Some ms, args -> check_args env ~loc ~what:(cname ^ ".init") ms args);
-          ignore c;
-          { re = Rnew (cname, init, args); rty = Ast.Tclass cname; rloc = loc })
+  | Ast.New (cname, args) ->
+      if not (Tbl.mem prog.classes cname) then Diag.error ~loc "unknown class %s" cname;
+      let init = lookup_method prog cname "init" in
+      let args = List.map (resolve_expr env) args in
+      (match (init, args) with
+      | None, [] -> ()
+      | None, _ :: _ -> Diag.error ~loc "class %s has no init method but got arguments" cname
+      | Some ms, args -> check_args env ~loc ~cls:cname ~meth:"init" ms args);
+      prog.n_sites <- prog.n_sites + 1;
+      { re = Rnew (cname, init, args); rty = Ast.Tclass cname; rloc = loc }
   | Ast.Unop (op, a) -> (
       let a = resolve_expr env a in
       match (op, a.rty) with
@@ -295,7 +298,7 @@ let rec resolve_expr env (e : Ast.expr) : rexpr =
   | Ast.Binop (op, a, b) -> resolve_binop env ~loc op a b
 
 and resolve_binop env ~loc op a b =
-  let prog = sketch_prog env in
+  let prog = env.prog in
   let a = resolve_expr env a in
   let b = resolve_expr env b in
   let ok rty = { re = Rbinop (op, a, b); rty; rloc = loc } in
@@ -328,7 +331,7 @@ and resolve_binop env ~loc op a b =
 (* Resolve a bare name as an own field, a captured outer field, or a
    static field of any enclosing class. *)
 and resolve_name_as_field env ~loc x : rexpr option =
-  let prog = sketch_prog env in
+  let prog = env.prog in
   let rec try_chain hops = function
     | [] -> None
     | cls :: rest -> (
@@ -339,10 +342,10 @@ and resolve_name_as_field env ~loc x : rexpr option =
             Some { re = Rget (recv, fr); rty = fr.fr_ty; rloc = loc }
         | None -> try_chain (hops + 1) rest)
   in
-  try_chain 0 (outer_chain env)
+  try_chain 0 env.chain
 
 and resolve_unqualified_call env ~loc m args : rexpr =
-  let prog = sketch_prog env in
+  let prog = env.prog in
   let rec try_chain hops = function
     | [] -> (
         match Builtins.intrinsic_sig m with
@@ -366,39 +369,39 @@ and resolve_unqualified_call env ~loc m args : rexpr =
             resolve_call env ~loc recv cls m args
         | None -> try_chain (hops + 1) rest)
   in
-  try_chain 0 (outer_chain env)
+  try_chain 0 env.chain
 
 and resolve_call env ~loc recv rcls m args : rexpr =
-  let prog = sketch_prog env in
-  match lookup_method prog rcls m with
+  match lookup_method env.prog rcls m with
   | None -> Diag.error ~loc "class %s has no method %s" rcls m
   | Some ms ->
       let args = List.map (resolve_expr env) args in
-      check_args env ~loc ~what:(rcls ^ "." ^ m) ms args;
+      check_args env ~loc ~cls:rcls ~meth:m ms args;
       { re = Rcall (recv, ms, args); rty = ms.ms_ret; rloc = loc }
 
-and check_args env ~loc ~what ms args =
-  let prog = sketch_prog env in
+(* [cls] and [meth] name the callee as written ("Class.method") in the
+   error messages, which are the only place that string is built. *)
+and check_args env ~loc ~cls ~meth ms args =
   if List.length args <> List.length ms.ms_params then
-    Diag.error ~loc "%s expects %d argument(s), got %d" what (List.length ms.ms_params)
+    Diag.error ~loc "%s.%s expects %d argument(s), got %d" cls meth (List.length ms.ms_params)
       (List.length args);
   List.iter2
     (fun a (pty, pname) ->
-      if not (is_assignable prog ~src:a.rty ~dst:pty) then
-        Diag.error ~loc:a.rloc "argument %s of %s has type %a but %a was expected" pname what
-          Ast.pp_ty a.rty Ast.pp_ty pty)
+      if not (is_assignable env.prog ~src:a.rty ~dst:pty) then
+        Diag.error ~loc:a.rloc "argument %s of %s.%s has type %a but %a was expected" pname cls
+          meth Ast.pp_ty a.rty Ast.pp_ty pty)
     args ms.ms_params
 
 (* -- statement resolution ----------------------------------------------- *)
 
 let rec resolve_stmt env (st : Ast.stmt) : rstmt =
   let loc = st.Ast.sloc in
-  let prog = sketch_prog env in
+  let prog = env.prog in
   match st.Ast.s with
   | Ast.Decl (ty, x, init) ->
       (match ty with
       | Ast.Tvoid -> Diag.error ~loc "variable %s cannot have type void" x
-      | Ast.Tclass c when not (SMap.mem c prog.classes) -> Diag.error ~loc "unknown class %s" c
+      | Ast.Tclass c when not (Tbl.mem prog.classes c) -> Diag.error ~loc "unknown class %s" c
       | Ast.Tclass _ | Ast.Tint | Ast.Tbool | Ast.Tstring -> ());
       let init =
         Option.map
@@ -484,14 +487,16 @@ let field_ref_of_ast cls (f : Ast.field) =
   { fr_class = cls; fr_name = f.Ast.f_name; fr_ty = f.Ast.f_ty; fr_static = f.Ast.f_static }
 
 (* First pass: build class skeletons (fields + method signatures, bodies
-   left empty) so that resolution can consult the full hierarchy. *)
-let build_sketch (classes : (Ast.cls * bool) list) : rcls SMap.t * string list =
-  let tbl = Hashtbl.create 64 in
+   left empty) so that resolution can consult the full hierarchy. Each
+   skeleton comes back paired with its methods' ASTs, in the same order
+   as its [rc_methods]. *)
+let build_sketch (classes : (Ast.cls * bool) list) : t * (rcls * Ast.meth list) list =
+  let tbl = Tbl.create 64 in
   List.iter
     (fun (c, _) ->
-      if Hashtbl.mem tbl c.Ast.c_name then
+      if Tbl.mem tbl c.Ast.c_name then
         Diag.error ~loc:c.Ast.c_loc "duplicate class %s" c.Ast.c_name;
-      Hashtbl.add tbl c.Ast.c_name c)
+      Tbl.add tbl c.Ast.c_name c)
     classes;
   let order = List.map (fun (c, _) -> c.Ast.c_name) classes in
   (* check supers exist and the hierarchy is acyclic *)
@@ -500,34 +505,37 @@ let build_sketch (classes : (Ast.cls * bool) list) : rcls SMap.t * string list =
       match c.Ast.c_super with
       | None -> ()
       | Some s ->
-          if not (Hashtbl.mem tbl s) then
+          if not (Tbl.mem tbl s) then
             Diag.error ~loc:c.Ast.c_loc "class %s extends unknown class %s" c.Ast.c_name s)
     classes;
   let rec check_cycle seen name =
     if List.exists (String.equal name) seen then
       Diag.error "inheritance cycle involving class %s" name;
-    match (Hashtbl.find tbl name).Ast.c_super with
+    match (Tbl.find tbl name).Ast.c_super with
     | None -> ()
     | Some s -> check_cycle (name :: seen) s
   in
   List.iter (fun (c, _) -> check_cycle [] c.Ast.c_name) classes;
-  let sketch =
-    List.fold_left
-      (fun acc (c, builtin) ->
+  (* duplicate member checks: one pair of tables for all classes, each
+     name tagged with the index of the class that last declared it *)
+  let seen_f = Tbl.create 64 and seen_m = Tbl.create 64 in
+  let seen tbl stamp name = match Tbl.find_opt tbl name with Some s -> s = stamp | None -> false in
+  let sketch = Tbl.create 64 in
+  let paired =
+    List.mapi
+      (fun stamp (c, builtin) ->
         let name = c.Ast.c_name in
-        (* duplicate member checks *)
-        let seen_f = Hashtbl.create 8 and seen_m = Hashtbl.create 8 in
         List.iter
           (fun (f : Ast.field) ->
-            if Hashtbl.mem seen_f f.Ast.f_name then
+            if seen seen_f stamp f.Ast.f_name then
               Diag.error ~loc:f.Ast.f_loc "duplicate field %s in class %s" f.Ast.f_name name;
-            Hashtbl.add seen_f f.Ast.f_name ())
+            Tbl.replace seen_f f.Ast.f_name stamp)
           c.Ast.c_fields;
         List.iter
           (fun (m : Ast.meth) ->
-            if Hashtbl.mem seen_m m.Ast.m_name then
+            if seen seen_m stamp m.Ast.m_name then
               Diag.error ~loc:m.Ast.m_loc "duplicate method %s in class %s" m.Ast.m_name name;
-            Hashtbl.add seen_m m.Ast.m_name ())
+            Tbl.replace seen_m m.Ast.m_name stamp)
           c.Ast.c_methods;
         let own_fields = List.map (field_ref_of_ast name) c.Ast.c_fields in
         let own_fields =
@@ -554,7 +562,7 @@ let build_sketch (classes : (Ast.cls * bool) list) : rcls SMap.t * string list =
               })
             c.Ast.c_methods
         in
-        SMap.add name
+        let rc =
           {
             rc_name = name;
             rc_super = c.Ast.c_super;
@@ -565,15 +573,16 @@ let build_sketch (classes : (Ast.cls * bool) list) : rcls SMap.t * string list =
             rc_builtin = builtin;
             rc_loc = c.Ast.c_loc;
           }
-          acc)
-      SMap.empty classes
+        in
+        Tbl.replace sketch name rc;
+        (rc, c.Ast.c_methods))
+      classes
   in
-  (sketch, order)
+  ({ classes = sketch; order; n_sites = 0 }, paired)
 
 (* Hierarchy-level checks that need the full sketch: no field hiding, and
    override compatibility. *)
-let check_hierarchy (sketch : rcls SMap.t) (order : string list) =
-  let prog = { classes = sketch; order } in
+let check_hierarchy (prog : t) =
   List.iter
     (fun name ->
       let c = get_class prog name in
@@ -607,7 +616,7 @@ let check_hierarchy (sketch : rcls SMap.t) (order : string list) =
             c.rc_methods);
       (* check field/param types mention known classes *)
       let check_ty loc = function
-        | Ast.Tclass cn when not (SMap.mem cn sketch) ->
+        | Ast.Tclass cn when not (Tbl.mem prog.classes cn) ->
             Diag.error ~loc "unknown class %s" cn
         | Ast.Tclass _ | Ast.Tint | Ast.Tbool | Ast.Tstring | Ast.Tvoid -> ()
       in
@@ -617,9 +626,24 @@ let check_hierarchy (sketch : rcls SMap.t) (order : string list) =
           check_ty m.rm_loc m.rm_ret;
           List.iter (fun (t, _) -> check_ty m.rm_loc t) m.rm_params)
         c.rc_methods)
-    order
+    prog.order
 
 (* -- entry point --------------------------------------------------------- *)
+
+let resolve_method prog ~chain (rm : rmeth) (ast_m : Ast.meth) =
+  let name = rm.rm_class in
+  let env = { prog; cls = name; chain; scopes = []; fresh = 0; ret = rm.rm_ret } in
+  push_scope env;
+  (* parameters are the outermost scope *)
+  List.iter
+    (fun (ty, pname) ->
+      let u = declare_local env ~loc:rm.rm_loc pname ty in
+      if not (String.equal u pname) then
+        Diag.error ~loc:rm.rm_loc "duplicate parameter %s in %s.%s" pname name rm.rm_name)
+    rm.rm_params;
+  let body = resolve_block env ast_m.Ast.m_body in
+  pop_scope env;
+  { rm with rm_body = body }
 
 (* Analyse a parsed user program together with the framework builtins. *)
 let analyze (user : Ast.program) : t =
@@ -628,51 +652,22 @@ let analyze (user : Ast.program) : t =
     List.map (fun c -> (c, true)) builtins.Ast.p_classes
     @ List.map (fun c -> (c, false)) user.Ast.p_classes
   in
-  let sketch, order = build_sketch tagged in
-  check_hierarchy sketch order;
-  (* second pass: resolve method bodies *)
-  let ast_by_name = Hashtbl.create 64 in
-  List.iter (fun (c, _) -> Hashtbl.add ast_by_name c.Ast.c_name c) tagged;
-  let classes =
-    SMap.mapi
-      (fun name (rc : rcls) ->
-        let ast_cls = Hashtbl.find ast_by_name name in
-        let methods =
-          List.map
-            (fun (rm : rmeth) ->
-              let ast_m =
-                match Ast.find_method ast_cls rm.rm_name with
-                | Some m -> m
-                | None -> Diag.error "internal: lost method %s.%s" name rm.rm_name
-              in
-              let env =
-                {
-                  prog_sketch = sketch;
-                  order_sketch = order;
-                  cls = name;
-                  scopes = [];
-                  fresh = 0;
-                  ret = rm.rm_ret;
-                }
-              in
-              push_scope env;
-              (* parameters are the outermost scope *)
-              List.iter
-                (fun (ty, pname) ->
-                  let u = declare_local env ~loc:rm.rm_loc pname ty in
-                  if not (String.equal u pname) then
-                    Diag.error ~loc:rm.rm_loc "duplicate parameter %s in %s.%s" pname name
-                      rm.rm_name)
-                rm.rm_params;
-              let body = resolve_block env ast_m.Ast.m_body in
-              pop_scope env;
-              { rm with rm_body = body })
-            rc.rc_methods
-        in
-        { rc with rc_methods = methods })
-      sketch
+  let prog, paired = build_sketch tagged in
+  check_hierarchy prog;
+  (* second pass: resolve method bodies, class by class in name order, so
+     that the first error reported does not depend on declaration order.
+     A resolved class replaces its skeleton in place: resolution reads
+     only fields and signatures, which the two share. *)
+  let by_name =
+    List.sort (fun ((a : rcls), _) ((b : rcls), _) -> String.compare a.rc_name b.rc_name) paired
   in
-  { classes; order }
+  List.iter
+    (fun ((rc : rcls), ast_methods) ->
+      let chain = outer_chain prog rc.rc_name in
+      let methods = List.map2 (resolve_method prog ~chain) rc.rc_methods ast_methods in
+      Tbl.replace prog.classes rc.rc_name { rc with rc_methods = methods })
+    by_name;
+  prog
 
 (* Convenience: parse + analyse in one go. *)
 let of_source ~file src = analyze (Parser.parse_program ~file src)

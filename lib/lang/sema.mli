@@ -78,12 +78,14 @@ type rcls = {
   rc_loc : Loc.t;
 }
 
-type t = {
-  classes : rcls Map.Make(String).t;
-  order : string list;  (** declaration order: builtins first, then user classes *)
-}
+type t
+(** A resolved program: a hashed class table over the builtins and the
+    user classes, in declaration order. *)
 
 (** {1 Hierarchy queries} *)
+
+val find_class : t -> string -> rcls option
+(** [None] on unknown classes. *)
 
 val get_class : t -> string -> rcls
 (** @raise Diag.Error on unknown classes. *)
@@ -116,6 +118,12 @@ val user_classes : t -> rcls list
 val all_classes : t -> rcls list
 
 val fold_methods : t -> ('a -> rcls -> rmeth -> 'a) -> 'a -> 'a
+(** Every method of every class, in declaration order. *)
+
+val n_alloc_sites : t -> int
+(** The [new] expressions in the program's method bodies, builtins
+    included: one allocation site each once lowered. The points-to
+    solver sizes its tables from this count. *)
 
 (** {1 Entry points} *)
 

@@ -53,39 +53,30 @@ type t =
   | BANG
   | EOF
 
-let keyword_table : (string * t) list =
-  [
-    ("class", KW_CLASS);
-    ("extends", KW_EXTENDS);
-    ("field", KW_FIELD);
-    ("static", KW_STATIC);
-    ("method", KW_METHOD);
-    ("var", KW_VAR);
-    ("if", KW_IF);
-    ("else", KW_ELSE);
-    ("while", KW_WHILE);
-    ("return", KW_RETURN);
-    ("new", KW_NEW);
-    ("null", KW_NULL);
-    ("this", KW_THIS);
-    ("true", KW_TRUE);
-    ("false", KW_FALSE);
-    ("synchronized", KW_SYNCHRONIZED);
-    ("int", KW_INT);
-    ("bool", KW_BOOL);
-    ("string", KW_STRING);
-    ("void", KW_VOID);
-  ]
-
-(* The lexer hits this on every identifier, so the lookup is a hash
-   table rather than a 20-entry assoc scan. *)
-let keyword_tbl : (string, t) Hashtbl.t Lazy.t =
-  lazy
-    (let h = Hashtbl.create 64 in
-     List.iter (fun (k, v) -> Hashtbl.add h k v) keyword_table;
-     h)
-
-let keyword_of_string s = Hashtbl.find_opt (Lazy.force keyword_tbl) s
+(* The lexer asks this of every identifier; a string [match] compiles to
+   a few word comparisons and allocates nothing. *)
+let keyword_of_string = function
+  | "class" -> Some KW_CLASS
+  | "extends" -> Some KW_EXTENDS
+  | "field" -> Some KW_FIELD
+  | "static" -> Some KW_STATIC
+  | "method" -> Some KW_METHOD
+  | "var" -> Some KW_VAR
+  | "if" -> Some KW_IF
+  | "else" -> Some KW_ELSE
+  | "while" -> Some KW_WHILE
+  | "return" -> Some KW_RETURN
+  | "new" -> Some KW_NEW
+  | "null" -> Some KW_NULL
+  | "this" -> Some KW_THIS
+  | "true" -> Some KW_TRUE
+  | "false" -> Some KW_FALSE
+  | "synchronized" -> Some KW_SYNCHRONIZED
+  | "int" -> Some KW_INT
+  | "bool" -> Some KW_BOOL
+  | "string" -> Some KW_STRING
+  | "void" -> Some KW_VOID
+  | _ -> None
 
 let to_string = function
   | INT n -> string_of_int n

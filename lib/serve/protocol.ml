@@ -82,49 +82,59 @@ let parse_hex4 p =
   p.pos <- p.pos + 4;
   v
 
+(* The body of a string literal: each run of characters between quotes
+   and backslashes is copied with one blit, so a request carrying a whole
+   app's source is not decoded a character at a time. *)
 let parse_string p =
   expect p '"';
+  let s = p.s in
+  let n = String.length s in
   let buf = Buffer.create 32 in
   let rec loop () =
-    match peek p with
-    | None -> fail "unterminated string"
-    | Some '"' -> advance p
-    | Some '\\' ->
-        advance p;
-        (match peek p with
-        | None -> fail "unterminated escape"
-        | Some c ->
-            advance p;
-            (match c with
-            | '"' -> Buffer.add_char buf '"'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '/' -> Buffer.add_char buf '/'
-            | 'b' -> Buffer.add_char buf '\b'
-            | 'f' -> Buffer.add_char buf '\012'
-            | 'n' -> Buffer.add_char buf '\n'
-            | 'r' -> Buffer.add_char buf '\r'
-            | 't' -> Buffer.add_char buf '\t'
-            | 'u' ->
-                let hi = parse_hex4 p in
-                if hi >= 0xD800 && hi <= 0xDBFF then begin
-                  (* surrogate pair: a low surrogate must follow *)
-                  expect p '\\';
-                  expect p 'u';
-                  let lo = parse_hex4 p in
-                  if lo < 0xDC00 || lo > 0xDFFF then
-                    fail "lone high surrogate \\u%04X" hi;
-                  utf8_of_scalar buf
-                    (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
-                end
-                else if hi >= 0xDC00 && hi <= 0xDFFF then
-                  fail "lone low surrogate \\u%04X" hi
-                else utf8_of_scalar buf hi
-            | c -> fail "bad escape '\\%c'" c));
-        loop ()
-    | Some c ->
-        advance p;
-        Buffer.add_char buf c;
-        loop ()
+    let start = p.pos in
+    let i = ref start in
+    while
+      !i < n
+      &&
+      match String.unsafe_get s !i with
+      | '"' | '\\' -> false
+      | _ -> true
+    do
+      incr i
+    done;
+    Buffer.add_substring buf s start (!i - start);
+    p.pos <- !i;
+    if !i >= n then fail "unterminated string"
+    else if s.[!i] = '"' then advance p
+    else begin
+      advance p;
+      if p.pos >= n then fail "unterminated escape";
+      let c = s.[p.pos] in
+      advance p;
+      (match c with
+      | '"' -> Buffer.add_char buf '"'
+      | '\\' -> Buffer.add_char buf '\\'
+      | '/' -> Buffer.add_char buf '/'
+      | 'b' -> Buffer.add_char buf '\b'
+      | 'f' -> Buffer.add_char buf '\012'
+      | 'n' -> Buffer.add_char buf '\n'
+      | 'r' -> Buffer.add_char buf '\r'
+      | 't' -> Buffer.add_char buf '\t'
+      | 'u' ->
+          let hi = parse_hex4 p in
+          if hi >= 0xD800 && hi <= 0xDBFF then begin
+            (* surrogate pair: a low surrogate must follow *)
+            expect p '\\';
+            expect p 'u';
+            let lo = parse_hex4 p in
+            if lo < 0xDC00 || lo > 0xDFFF then fail "lone high surrogate \\u%04X" hi;
+            utf8_of_scalar buf (0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00))
+          end
+          else if hi >= 0xDC00 && hi <= 0xDFFF then fail "lone low surrogate \\u%04X" hi
+          else utf8_of_scalar buf hi
+      | c -> fail "bad escape '\\%c'" c);
+      loop ()
+    end
   in
   loop ();
   Buffer.contents buf

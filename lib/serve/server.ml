@@ -128,8 +128,10 @@ let run_analyze cfg spool (a : Protocol.analyze) =
 type conn = {
   fd : Unix.file_descr;
   id : int;
+  rbuf : Bytes.t;  (** the connection's read buffer, reused by every read *)
   inbuf : Buffer.t;  (** raw bytes read, possibly mid-line *)
   mutable in_lines : int;  (** complete ('\n'-terminated) lines in [inbuf] *)
+  mutable first_nl : int;  (** offset of the first '\n' in [inbuf]; -1 if none *)
   mutable outbuf : Bytes.t;  (** response bytes not yet written *)
   mutable outpos : int;
   mutable busy : bool;  (** a request of this connection is on the pool *)
@@ -176,17 +178,22 @@ let close_conn t (c : conn) =
 (* -- IO, robust against disconnects -------------------------------------- *)
 
 let handle_read t (c : conn) =
-  let buf = Bytes.create 8192 in
+  let buf = c.rbuf in
   match Unix.read c.fd buf 0 (Bytes.length buf) with
   | 0 ->
       (* EOF: the client is gone. If an analysis is still running its
          completion is dropped on arrival; the worker is unaffected. *)
       close_conn t c
   | n ->
-      (* count lines as bytes arrive so the no-request-pending check in
-         [advance] is O(1) per loop round, not a rescan of the buffer *)
+      (* count lines, and note where the first one ends, as bytes arrive:
+         the no-request-pending check in [advance] is then O(1) per loop
+         round, and [pop_line] need not search for the line's end *)
+      let base = Buffer.length c.inbuf in
       for i = 0 to n - 1 do
-        if Bytes.unsafe_get buf i = '\n' then c.in_lines <- c.in_lines + 1
+        if Bytes.unsafe_get buf i = '\n' then begin
+          if c.in_lines = 0 then c.first_nl <- base + i;
+          c.in_lines <- c.in_lines + 1
+        end
       done;
       Buffer.add_subbytes c.inbuf buf 0 n
   | exception
@@ -226,10 +233,9 @@ let send_line (c : conn) line =
 let pop_line (c : conn) =
   if c.in_lines = 0 then None
   else begin
-    let i = ref 0 in
-    while Buffer.nth c.inbuf !i <> '\n' do incr i done;
-    let line = Buffer.sub c.inbuf 0 !i in
-    let rest = Buffer.sub c.inbuf (!i + 1) (Buffer.length c.inbuf - !i - 1) in
+    let i = c.first_nl in
+    let line = Buffer.sub c.inbuf 0 i in
+    let rest = Buffer.sub c.inbuf (i + 1) (Buffer.length c.inbuf - i - 1) in
     (* [reset] when drained so a one-off multi-megabyte inline request
        does not pin its capacity for the connection's lifetime *)
     if String.length rest = 0 then Buffer.reset c.inbuf
@@ -238,6 +244,7 @@ let pop_line (c : conn) =
       Buffer.add_string c.inbuf rest
     end;
     c.in_lines <- c.in_lines - 1;
+    (c.first_nl <- if c.in_lines = 0 then -1 else String.index rest '\n');
     Some line
   end
 
@@ -331,8 +338,10 @@ let accept_all t =
           {
             fd;
             id;
+            rbuf = Bytes.create 8192;
             inbuf = Buffer.create 256;
             in_lines = 0;
+            first_nl = -1;
             outbuf = Bytes.empty;
             outpos = 0;
             busy = false;

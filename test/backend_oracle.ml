@@ -74,7 +74,7 @@ let escaping (pta : Pta.t) : IntSet.t =
   !escaping
 
 let threads (pta : Pta.t) : Threadify.thread array =
-  let sema = pta.Pta.prog.Prog.sema in
+  let sema = Prog.sema pta.Pta.prog in
   let acc = ref [] and n = ref 0 in
   let add th =
     acc := th :: !acc;

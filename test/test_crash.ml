@@ -11,6 +11,7 @@ module Cache = Nadroid_core.Cache
 module Fault = Nadroid_core.Fault
 module Journal = Nadroid_core.Journal
 module Supervise = Nadroid_core.Supervise
+module Parallel = Nadroid_core.Parallel
 module Faultinject = Nadroid_core.Faultinject
 module Faultfuzz = Nadroid_corpus.Faultfuzz
 module Corpus = Nadroid_corpus.Corpus
@@ -27,11 +28,13 @@ let fresh_dir =
     incr n;
     Printf.sprintf "_crash_test.%d.%d" (Unix.getpid ()) !n
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
 let with_dir f =
   let dir = fresh_dir () in
@@ -492,7 +495,8 @@ let foreign_worker_check () =
   let foreign v = List.find_opt (fun (name, _, _) -> String.equal name v) foreign_replies in
   match Option.bind (Sys.getenv_opt foreign_worker_var) foreign with
   | Some (_, rewrite, _) when Supervise.is_worker () ->
-      print_string (rewrite (Cache.encode Supervise.reply_kind (Ok (entry 1 "FOREIGN"))));
+      print_string
+        (rewrite (Cache.encode Supervise.reply_kind (Ok (entry 1 "FOREIGN", Cache.Miss))));
       flush stdout;
       let buf = Bytes.create 65536 in
       while Unix.read Unix.stdin buf 0 (Bytes.length buf) > 0 do
@@ -531,7 +535,9 @@ let foreign_reply_is_never_unmarshalled (name, _, reason) () =
    for the next. *)
 let split_header_is_reassembled () =
   let r, w = Unix.pipe ~cloexec:true () in
-  let frame n = Cache.encode Supervise.reply_kind (Ok (entry n (Printf.sprintf "reply %d" n))) in
+  let frame n =
+    Cache.encode Supervise.reply_kind (Ok (entry n (Printf.sprintf "reply %d" n), Cache.Miss))
+  in
   let one = frame 1 and two = frame 2 in
   let write s = ignore (Unix.write_substring w s 0 (String.length s)) in
   let cut = 12 in
@@ -547,7 +553,7 @@ let split_header_is_reassembled () =
     match
       Supervise.read_frame Supervise.reply_kind ~deadline:(Clock.now () +. 10.0) reader
     with
-    | Some (Ok e) -> Some e.Cache.e_report
+    | Some (Ok (e, _)) -> Some e.Cache.e_report
     | Some (Error f) -> Alcotest.failf "unexpected fault reply: %s" (Fault.to_string f)
     | None -> None
   in
@@ -903,15 +909,18 @@ let human_batch_with_faulting_file () =
 (* A cache hit replays the stored entry, metrics included: with
    --timings, a warm run says its phase times are the storing run's, and
    a cold run does not. Without --timings, stdout is the same cached or
-   not. *)
-let timings_on_cache_hit_say_so () =
+   not. Under --supervise the cache is the worker's, and its reply says
+   whether the entry was a hit. *)
+let timings_on_cache_hit_say_so ~supervise () =
   with_dir (fun dir ->
-      with_dir @@ fun cache_dir ->
       Unix.mkdir dir 0o755;
       let app = List.hd (Lazy.force Corpus.all) in
       let file = Filename.concat dir (app.Corpus.name ^ ".mand") in
       write_file file app.Corpus.source;
-      let cache = [ "--cache"; "--cache-dir"; cache_dir ] in
+      let cache =
+        (if supervise then [ "--supervise" ] else [])
+        @ [ "--cache"; "--cache-dir"; Filename.concat dir "cache" ]
+      in
       let run args =
         match run_cli_err ([ "analyze" ] @ args @ [ file ]) with
         | Unix.WEXITED 0, out, _ -> out
@@ -929,6 +938,33 @@ let timings_on_cache_hit_say_so () =
       Alcotest.(check string) "without --timings, a cache hit prints the same" plain
         (run cache);
       Alcotest.(check string) "and so does an uncached run" plain (run []))
+
+(* A --jobs above the recommended domain count is lowered to it, with
+   one note on stderr, and the output is what a jobs-2 run prints. *)
+let oversubscribed_jobs_are_clamped () =
+  with_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let files =
+        List.map
+          (fun name ->
+            let app = Option.get (Corpus.find name) in
+            let file = Filename.concat dir (name ^ ".mand") in
+            write_file file app.Corpus.source;
+            file)
+          [ "ToDoList"; "Aard"; "Music" ]
+      in
+      let run jobs =
+        match run_cli_err ([ "analyze"; "--jobs"; string_of_int jobs ] @ files) with
+        | Unix.WEXITED 0, out, err -> (out, err)
+        | s, _, err -> Alcotest.failf "analyze --jobs %d: %s %s" jobs (Supervise.status_string s) err
+      in
+      let most = Parallel.default_jobs () in
+      let many = max 8 (most + 1) in
+      let out_many, err_many = run many and out_two, _ = run 2 in
+      Alcotest.(check string) "stdout equals --jobs 2" out_two out_many;
+      let note = Printf.sprintf "note: --jobs %d is above" many in
+      Alcotest.(check int) "one note" 1
+        (List.length (List.filter (fun l -> is_infix note l) (String.split_on_char '\n' err_many))))
 
 (* -- blast-radius fuzzing ------------------------------------------------ *)
 
@@ -1027,7 +1063,11 @@ let suite =
         Alcotest.test_case "human report: headers in order, fault on stderr, jobs-invariant"
           `Quick human_batch_with_faulting_file;
         Alcotest.test_case "--timings on a cache hit says the times are the storing run's"
-          `Quick timings_on_cache_hit_say_so;
+          `Quick (timings_on_cache_hit_say_so ~supervise:false);
+        Alcotest.test_case "--supervise: a worker's cache hit says so too" `Quick
+          (timings_on_cache_hit_say_so ~supervise:true);
+        Alcotest.test_case "--jobs above the core count is clamped, stdout unchanged" `Quick
+          oversubscribed_jobs_are_clamped;
       ] );
     ( "crash-fuzz",
       [ Alcotest.test_case "seeded fuzz over all seams: 0 escapes" `Quick faultfuzz_smoke ]

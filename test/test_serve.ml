@@ -22,6 +22,39 @@ let json_roundtrip =
       | Ok (Protocol.Str s') -> String.equal s s'
       | Ok _ | Error _ -> false)
 
+(* Quoted strings built from every kind of piece the decoder treats
+   differently: plain runs (bytes >= 0x80 included), each escape, \u
+   escapes in and around the surrogate ranges, well-formed and broken
+   surrogate pairs, bad and truncated escapes, and a stray quote; then
+   a closing quote, trailing bytes, or nothing at all. *)
+let json_string_gen =
+  let open QCheck2.Gen in
+  let hex4 lo hi = map (Printf.sprintf "\\u%04X") (int_range lo hi) in
+  let piece =
+    oneof
+      [
+        map (String.make 1) (oneof [ char_range ' ' '!'; char_range '#' '['; char_range ']' '\255' ]);
+        string_size ~gen:(char_range 'a' 'z') (int_range 1 40);
+        oneofl [ "\\\""; "\\\\"; "\\/"; "\\b"; "\\f"; "\\n"; "\\r"; "\\t" ];
+        hex4 0 0xFFFF;
+        hex4 0xD800 0xDBFF;
+        hex4 0xDC00 0xDFFF;
+        map2 ( ^ ) (hex4 0xD800 0xDBFF) (hex4 0xDC00 0xDFFF);
+        map2 ( ^ ) (hex4 0xD800 0xDBFF) (oneof [ hex4 0 0xFFFF; pure "x"; pure "\\n" ]);
+        oneofl [ "\\q"; "\\u12G4"; "\\uZZZZ"; "\\x"; "\"" ];
+      ]
+  in
+  let ending = oneofl [ "\""; ""; "\\"; "\\u12"; "\" "; "\" x"; "\"\n" ] in
+  map2 (fun body e -> "\"" ^ String.concat "" body ^ e) (list_size (int_range 0 12) piece) ending
+
+let json_string_matches_oracle =
+  QCheck2.Test.make ~name:"string decoding equals the per-character oracle" ~count:2000
+    ~print:(fun s -> s) json_string_gen (fun s ->
+      match (Protocol.parse_json s, Json_oracle.parse_json s) with
+      | Ok (Protocol.Str a), Ok b -> String.equal a b
+      | Error a, Error b -> String.equal a b
+      | _, _ -> false)
+
 let analyze_roundtrip =
   let gen =
     QCheck2.Gen.(
@@ -349,6 +382,7 @@ let suite =
     ( "serve-protocol",
       [
         QCheck_alcotest.to_alcotest json_roundtrip;
+        QCheck_alcotest.to_alcotest json_string_matches_oracle;
         QCheck_alcotest.to_alcotest analyze_roundtrip;
         Alcotest.test_case "malformed requests are rejected with the field" `Quick
           parse_request_rejects;
