@@ -399,7 +399,11 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"worker domains analyzing requests (default: all cores)")
+          ~doc:
+            "domains serving the daemon, counting the main one (default: all cores): each \
+             analyzes a request when one is queued, one at a time polls the sockets, and a \
+             request waits only while all of them are busy; above the core count it is \
+             lowered to it")
   in
   let quiet_arg =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"suppress the per-request stderr log")

@@ -1,12 +1,8 @@
-(* Domain parallelism: one batch scheduler and one persistent pool.
+(* Domain parallelism: one batch scheduler.
 
    [stream] is the batch engine. It runs a whole batch on a fixed set of
    domains that exists only for the batch, and [map_result] is the
-   list-shaped collector over it. [Pool] is for processes that outlive
-   any one batch (the serve daemon): [Pool.create] spawns the workers
-   once, [Pool.submit] enqueues a task and returns a future,
-   [Pool.await] blocks on its completion, and [Pool.shutdown] drains the
-   queue and joins the workers (graceful: queued work still runs). *)
+   list-shaped collector over it. *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
@@ -18,103 +14,6 @@ let clamp_jobs jobs =
       jobs most most;
     most
   end
-
-module Pool = struct
-  type t = {
-    m : Mutex.t;
-    nonempty : Condition.t;
-    queue : (unit -> unit) Queue.t;
-    mutable stopping : bool;
-    mutable domains : unit Domain.t list;
-    jobs : int;  (** worker domain count *)
-  }
-
-  type 'a state = Pending | Value of 'a | Exn of exn
-
-  type 'a future = {
-    fm : Mutex.t;
-    fc : Condition.t;
-    mutable state : 'a state;
-  }
-
-  let jobs t = t.jobs
-
-  let worker t =
-    let rec loop () =
-      Mutex.lock t.m;
-      while Queue.is_empty t.queue && not t.stopping do
-        Condition.wait t.nonempty t.m
-      done;
-      (* on shutdown, keep draining until the queue is empty *)
-      if Queue.is_empty t.queue then Mutex.unlock t.m
-      else begin
-        let task = Queue.pop t.queue in
-        Mutex.unlock t.m;
-        task ();
-        loop ()
-      end
-    in
-    loop ()
-
-  let create ?jobs () =
-    let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-    let t =
-      {
-        m = Mutex.create ();
-        nonempty = Condition.create ();
-        queue = Queue.create ();
-        stopping = false;
-        domains = [];
-        jobs;
-      }
-    in
-    t.domains <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker t));
-    t
-
-  let submit t f =
-    let fut = { fm = Mutex.create (); fc = Condition.create (); state = Pending } in
-    let task () =
-      let r = match f () with v -> Value v | exception e -> Exn e in
-      Mutex.lock fut.fm;
-      fut.state <- r;
-      Condition.broadcast fut.fc;
-      Mutex.unlock fut.fm
-    in
-    Mutex.lock t.m;
-    if t.stopping then begin
-      Mutex.unlock t.m;
-      invalid_arg "Parallel.Pool.submit: pool is shut down"
-    end;
-    Queue.push task t.queue;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.m;
-    fut
-
-  let await fut =
-    Mutex.lock fut.fm;
-    let rec wait () =
-      match fut.state with
-      | Pending ->
-          Condition.wait fut.fc fut.fm;
-          wait ()
-      | Value v -> Ok v
-      | Exn e -> Error e
-    in
-    let r = wait () in
-    Mutex.unlock fut.fm;
-    r
-
-  let shutdown t =
-    Mutex.lock t.m;
-    if t.stopping then Mutex.unlock t.m
-    else begin
-      t.stopping <- true;
-      Condition.broadcast t.nonempty;
-      Mutex.unlock t.m;
-      List.iter Domain.join t.domains;
-      t.domains <- []
-    end
-end
 
 (* -- the batch scheduler --------------------------------------------------- *)
 

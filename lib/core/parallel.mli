@@ -1,12 +1,8 @@
-(** Domain parallelism (OCaml 5 [Domain]/[Mutex]): one batch scheduler
-    and one persistent pool.
+(** Domain parallelism (OCaml 5 [Domain]/[Mutex]): one batch scheduler.
 
-    - {!stream}: the batch engine — a work-stealing scheduler that emits
-      results in input order with bounded memory; {!map_result} collects
-      its emissions into a list. Tasks must not share mutable state.
-    - {!Pool}: a persistent pool for long-lived processes (the serve
-      daemon) — create once, submit tasks as requests arrive, await
-      their futures, shut down gracefully (queued work drains first). *)
+    {!stream} is the batch engine: a work-stealing scheduler that emits
+    results in input order with bounded memory; {!map_result} collects
+    its emissions into a list. Tasks must not share mutable state. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
@@ -15,36 +11,9 @@ val clamp_jobs : int -> int
 (** A requested [--jobs], lowered to {!default_jobs} when above it, with
     one line on stderr saying so: more domains than cores only
     oversubscribes them, and every extra domain joins each minor
-    collection. {!stream} and {!Pool.create} take their [jobs] as
-    given; the commands that read [--jobs] from a user clamp it here
-    first. *)
-
-module Pool : sig
-  type t
-  (** A fixed set of worker domains sharing one task queue. *)
-
-  type 'a future
-  (** The pending result of a submitted task. *)
-
-  val create : ?jobs:int -> unit -> t
-  (** Spawn [jobs] workers (default {!default_jobs}, min 1). *)
-
-  val jobs : t -> int
-  (** Worker-domain count of the pool. *)
-
-  val submit : t -> (unit -> 'a) -> 'a future
-  (** Enqueue a task. Tasks start in submission order (completion order
-      depends on scheduling). @raise Invalid_argument after
-      {!shutdown}. *)
-
-  val await : 'a future -> ('a, exn) result
-  (** Block until the task finishes; its exception, if any, is captured
-      in the result, never re-raised into the awaiting domain. *)
-
-  val shutdown : t -> unit
-  (** Graceful: stop accepting work, let the workers drain the queue,
-      then join them. Idempotent. *)
-end
+    collection. {!stream} takes its [jobs] as given; the commands that
+    read [--jobs] from a user ([analyze], and [serve], whose daemon runs
+    on exactly that many domains) clamp it here first. *)
 
 val window : int
 (** Admission window of {!stream}: at most this many indices (256,

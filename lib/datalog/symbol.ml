@@ -5,13 +5,13 @@
    abstract threads...) as interned strings, mirroring how Chord maps
    program entities into bddbddb domains.
 
-   Concurrency: a warm serve daemon interns from several worker domains
-   at once, so writes ([intern]) are mutex-guarded — including the
+   Concurrency: a warm serve daemon interns from several domains at
+   once, so writes ([intern]) are mutex-guarded — including the
    [by_id] resize — while [name]/[size] reads stay lock-free on the hot
    path. Publication order makes the lock-free read safe: the slot and
    (on growth) the new array are written {e before} [next] is bumped
    (an [Atomic] release), so any reader that learned an id through a
-   synchronised hand-off (future await, domain join, a mutex) observes
+   synchronised hand-off (domain join, a mutex) observes
    the slot it indexes. A reader holding a stale [by_id] (resized after
    it was read) falls back to a locked read instead of faulting. *)
 

@@ -175,43 +175,48 @@ type env = {
   prog : t;  (* the class table; resolution reads fields and signatures only *)
   cls : string;  (* current class *)
   chain : string list;  (* [cls], then its enclosing classes ({!outer_chain}) *)
-  mutable scopes : (string * (Ast.ty * string)) list list;
-      (* source name -> (type, unique name); innermost scope first *)
+  locals : (int * Ast.ty * string) Tbl.t;
+      (* source name -> (scope depth, type, unique name) of every open
+         declaration, innermost on top ([Tbl.add] shadows, [remove]
+         unshadows); one table serves every method of an [analyze] *)
+  mutable scopes : string list list;  (* names each open scope declared, innermost first *)
+  mutable depth : int;  (* open scopes *)
   mutable fresh : int;
   ret : Ast.ty;
 }
 
-let push_scope env = env.scopes <- [] :: env.scopes
+let push_scope env =
+  env.scopes <- [] :: env.scopes;
+  env.depth <- env.depth + 1
 
 let pop_scope env =
   match env.scopes with
   | [] -> invalid_arg "pop_scope: empty scope stack"
-  | _ :: rest -> env.scopes <- rest
+  | names :: rest ->
+      List.iter (Tbl.remove env.locals) names;
+      env.scopes <- rest;
+      env.depth <- env.depth - 1
 
 let declare_local env ~loc src_name ty =
-  (match env.scopes with
-  | scope :: _ when List.mem_assoc src_name scope ->
+  let shadowed = Tbl.find_opt env.locals src_name in
+  (match shadowed with
+  | Some (depth, _, _) when depth = env.depth ->
       Diag.error ~loc "duplicate local variable %s" src_name
-  | [] | _ :: _ -> ());
+  | Some _ | None -> ());
   env.fresh <- env.fresh + 1;
   (* Keep the first occurrence readable; shadowing declarations in outer
      scopes get a numeric suffix so unique names stay unique. *)
   let unique =
-    if List.exists (fun sc -> List.mem_assoc src_name sc) env.scopes then
-      Printf.sprintf "%s#%d" src_name env.fresh
-    else src_name
+    if Option.is_some shadowed then Printf.sprintf "%s#%d" src_name env.fresh else src_name
   in
   (match env.scopes with
-  | scope :: rest -> env.scopes <- ((src_name, (ty, unique)) :: scope) :: rest
+  | names :: rest -> env.scopes <- (src_name :: names) :: rest
   | [] -> invalid_arg "declare_local: no scope");
+  Tbl.add env.locals src_name (env.depth, ty, unique);
   unique
 
-let find_local env name =
-  let rec go = function
-    | [] -> None
-    | scope :: rest -> ( match List.assoc_opt name scope with Some v -> Some v | None -> go rest)
-  in
-  go env.scopes
+(* (scope depth, type, unique name) of [name]'s innermost declaration *)
+let find_local env name = Tbl.find_opt env.locals name
 
 (* The chain of enclosing classes for capture resolution: the class
    first, then its outers. Each hop corresponds to one implicit [outer]
@@ -261,7 +266,7 @@ let rec resolve_expr env (e : Ast.expr) : rexpr =
   | Ast.StrLit s -> { re = Rstr s; rty = Ast.Tstring; rloc = loc }
   | Ast.Name x -> (
       match find_local env x with
-      | Some (ty, unique) -> { re = Rlocal unique; rty = ty; rloc = loc }
+      | Some (_, ty, unique) -> { re = Rlocal unique; rty = ty; rloc = loc }
       | None -> (
           match resolve_name_as_field env ~loc x with
           | Some re -> re
@@ -418,7 +423,7 @@ let rec resolve_stmt env (st : Ast.stmt) : rstmt =
   | Ast.AssignName (x, e) -> (
       let rhs = resolve_expr env e in
       match find_local env x with
-      | Some (ty, unique) ->
+      | Some (_, ty, unique) ->
           if not (is_assignable prog ~src:rhs.rty ~dst:ty) then
             Diag.error ~loc "cannot assign a value of type %a to %s : %a" Ast.pp_ty rhs.rty x
               Ast.pp_ty ty;
@@ -630,9 +635,9 @@ let check_hierarchy (prog : t) =
 
 (* -- entry point --------------------------------------------------------- *)
 
-let resolve_method prog ~chain (rm : rmeth) (ast_m : Ast.meth) =
+let resolve_method prog ~locals ~chain (rm : rmeth) (ast_m : Ast.meth) =
   let name = rm.rm_class in
-  let env = { prog; cls = name; chain; scopes = []; fresh = 0; ret = rm.rm_ret } in
+  let env = { prog; cls = name; chain; locals; scopes = []; depth = 0; fresh = 0; ret = rm.rm_ret } in
   push_scope env;
   (* parameters are the outermost scope *)
   List.iter
@@ -661,10 +666,11 @@ let analyze (user : Ast.program) : t =
   let by_name =
     List.sort (fun ((a : rcls), _) ((b : rcls), _) -> String.compare a.rc_name b.rc_name) paired
   in
+  let locals = Tbl.create 64 in
   List.iter
     (fun ((rc : rcls), ast_methods) ->
       let chain = outer_chain prog rc.rc_name in
-      let methods = List.map2 (resolve_method prog ~chain) rc.rc_methods ast_methods in
+      let methods = List.map2 (resolve_method prog ~locals ~chain) rc.rc_methods ast_methods in
       Tbl.replace prog.classes rc.rc_name { rc with rc_methods = methods })
     by_name;
   prog

@@ -1,10 +1,24 @@
 (* The serve daemon's event loop.
 
-   Shape: one select(2) loop in the calling domain owns every file
-   descriptor; analyses run on a persistent Parallel.Pool. A worker
-   never touches a socket — it hands the finished response to a
-   completion queue and wakes the loop through a self-pipe — so all
-   socket error handling lives in exactly one place.
+   Shape: leader/followers. Exactly [jobs] domains run one loop: the
+   caller, plus [jobs - 1] spawned domains. A domain with a queued
+   request runs it. Otherwise one domain at a time is the poller and
+   sits in select(2) on every descriptor, while the rest wait on a
+   condition variable. All connection state sits under one mutex, and
+   select runs without holding it. A domain that takes a request while
+   nobody else polls signals one waiting domain to become the poller.
+
+   A domain that finishes a request writes the reply itself
+   (non-blocking, under the mutex) and pumps that connection's
+   pipelined lines. The poller cannot see what that changed from its
+   select sets, so the finishing domain wakes it through a self-pipe
+   when bytes remain unsent, a connection must close, or the drain is
+   over. No domain closes a descriptor that the poller may be selecting
+   on: it hands the descriptor to the poller, which closes it once
+   select has returned.
+
+   While every domain is analysing, nobody reads the sockets: a ping, a
+   new connection or a signal waits for the first analysis to finish.
 
    Each connection carries at most one in-flight request; further
    pipelined request lines wait buffered until the response is flushed.
@@ -67,7 +81,7 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* -- request execution (worker side) ------------------------------------- *)
+(* -- request execution (lock released) ----------------------------------- *)
 
 let analyze_config cfg (a : Protocol.analyze) =
   let deadline =
@@ -87,13 +101,14 @@ let analyze_config cfg (a : Protocol.analyze) =
       };
   }
 
-(* Runs on a pool worker. Everything that can go wrong folds into the
-   response: a fault document for analysis failures, a protocol error
-   for an unreadable path. The worker itself never dies — the next
-   request finds it clean. With [spool] (the [supervise] config), the
-   actual analysis runs in a supervised child process instead of this
-   domain, so even a SIGSEGV/OOM of one request costs only its own
-   response while the daemon keeps serving. *)
+(* Runs without the lock, on the domain that took the request.
+   Everything that can go wrong folds into the response: a fault
+   document for analysis failures, a protocol error for an unreadable
+   path. The domain itself never dies — its next request finds it
+   clean. With [spool] (the [supervise] config), the actual analysis
+   runs in a supervised child process instead of this domain, so even
+   a SIGSEGV/OOM of one request costs only its own response while the
+   daemon keeps serving. *)
 let run_analyze cfg spool (a : Protocol.analyze) =
   let name, src =
     match (a.Protocol.a_path, a.Protocol.a_source) with
@@ -123,7 +138,7 @@ let run_analyze cfg spool (a : Protocol.analyze) =
       in
       Protocol.analyze_response ~name result
 
-(* -- connection state (loop side) ---------------------------------------- *)
+(* -- shared state ---------------------------------------------------------- *)
 
 type conn = {
   fd : Unix.file_descr;
@@ -134,46 +149,56 @@ type conn = {
   mutable first_nl : int;  (** offset of the first '\n' in [inbuf]; -1 if none *)
   mutable outbuf : Bytes.t;  (** response bytes not yet written *)
   mutable outpos : int;
-  mutable busy : bool;  (** a request of this connection is on the pool *)
+  mutable busy : bool;  (** a request of this connection is queued or running *)
   mutable closing : bool;  (** close once [outbuf] drains *)
 }
 
 type t = {
   cfg : config;
-  pool : Parallel.Pool.t;
   spool : Supervise.t option;  (** supervised worker processes *)
   listen_fd : Unix.file_descr;
   sock_path : string option;  (** unix-socket file to unlink on exit *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
+  m : Mutex.t;  (** guards every mutable field here and every [conn] *)
+  idle : Condition.t;  (** domains with nothing to do wait here *)
   conns : (int, conn) Hashtbl.t;
-  completions : (int * string) Queue.t;  (** (conn id, response line) *)
-  cm : Mutex.t;
+  requests : (conn * Protocol.analyze) Queue.t;  (** dispatched, not yet taken *)
+  mutable doomed : Unix.file_descr list;  (** dropped while polled: the poller closes them *)
+  mutable polling : bool;  (** a domain is in select, or on its way in *)
+  mutable listening : bool;
   mutable next_id : int;
-  mutable inflight : int;
+  mutable inflight : int;  (** dispatched requests not yet answered *)
   mutable draining : bool;
+  mutable stopped : bool;  (** the drain is over: every domain leaves the loop *)
   stop_requested : bool Atomic.t;  (** set from signal handlers *)
 }
 
-(* Worker -> loop hand-off. The write may find the pipe full (EAGAIN):
-   fine — a wake-up is already pending. EINTR retries; any other error
-   on the self-pipe is a bug worth crashing on. *)
-let post t id response =
-  Mutex.lock t.cm;
-  Queue.push (id, response) t.completions;
-  Mutex.unlock t.cm;
-  let rec wake () =
-    match Unix.write t.wake_w (Bytes.make 1 '!') 0 1 with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wake ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  in
-  wake ()
+(* Wake the poller out of select. The write may find the pipe full
+   (EAGAIN): fine — a wake-up is already pending. EINTR retries; any
+   other error on the self-pipe is a bug worth crashing on. *)
+let rec wake t =
+  match Unix.write t.wake_w (Bytes.make 1 '!') 0 1 with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wake t
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
 
-let close_conn t (c : conn) =
+(* the peer may already be gone; nothing to salvage either way *)
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let live t (c : conn) = Hashtbl.mem t.conns c.id
+
+(* Forget [c]. Its descriptor is closed at once, unless the poller may
+   be selecting on it: closing it there would leave select waiting on a
+   socket that the kernel keeps open for it, or fail with EBADF. The
+   poller closes it instead, woken here, once select has returned. *)
+let drop t (c : conn) =
   Hashtbl.remove t.conns c.id;
-  (* the peer may already be gone; nothing to salvage either way *)
-  try Unix.close c.fd with Unix.Unix_error _ -> ()
+  if t.polling then begin
+    t.doomed <- c.fd :: t.doomed;
+    wake t
+  end
+  else close_fd c.fd
 
 (* -- IO, robust against disconnects -------------------------------------- *)
 
@@ -182,8 +207,8 @@ let handle_read t (c : conn) =
   match Unix.read c.fd buf 0 (Bytes.length buf) with
   | 0 ->
       (* EOF: the client is gone. If an analysis is still running its
-         completion is dropped on arrival; the worker is unaffected. *)
-      close_conn t c
+         response is dropped on arrival; the domain is unaffected. *)
+      drop t c
   | n ->
       (* count lines, and note where the first one ends, as bytes arrive:
          the no-request-pending check in [advance] is then O(1) per loop
@@ -199,7 +224,7 @@ let handle_read t (c : conn) =
   | exception
       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
     ()
-  | exception Unix.Unix_error _ -> close_conn t c
+  | exception Unix.Unix_error _ -> drop t c
 
 let handle_write t (c : conn) =
   let len = Bytes.length c.outbuf - c.outpos in
@@ -216,12 +241,12 @@ let handle_write t (c : conn) =
     | exception Unix.Unix_error _ ->
         (* EPIPE/ECONNRESET and friends: with SIGPIPE ignored a dead
            client surfaces here as an error on its own fd, nowhere else *)
-        close_conn t c
+        drop t c
   end;
-  if c.outpos >= Bytes.length c.outbuf && Hashtbl.mem t.conns c.id then begin
+  if c.outpos >= Bytes.length c.outbuf && live t c then begin
     c.outbuf <- Bytes.empty;
     c.outpos <- 0;
-    if c.closing then close_conn t c
+    if c.closing then drop t c
   end
 
 let send_line (c : conn) line =
@@ -268,21 +293,7 @@ let dispatch t (c : conn) line =
         | None -> Option.value ~default:"<inline>" a.Protocol.a_file);
       c.busy <- true;
       t.inflight <- t.inflight + 1;
-      let id = c.id in
-      ignore
-        (Parallel.Pool.submit t.pool (fun () ->
-             let response =
-               (* a worker must survive anything a request throws at it *)
-               try run_analyze t.cfg t.spool a
-               with e ->
-                 Protocol.analyze_response
-                   ~name:(Option.value ~default:"<inline>"
-                            (match a.Protocol.a_path with
-                            | Some _ as p -> p
-                            | None -> a.Protocol.a_file))
-                   (Error (Fault.of_exn e))
-             in
-             post t id response))
+      Queue.push (c, a) t.requests
 
 (* A connection is ready for its next buffered request once nothing is
    in flight and nothing is waiting to be written. *)
@@ -294,22 +305,47 @@ let advance t (c : conn) =
     && not t.draining
   then match pop_line c with None -> () | Some line -> dispatch t c line
 
-let drain_completions t =
-  let pending = Queue.create () in
-  Mutex.lock t.cm;
-  Queue.transfer t.completions pending;
-  Mutex.unlock t.cm;
-  Queue.iter
-    (fun (id, response) ->
-      t.inflight <- t.inflight - 1;
-      match Hashtbl.find_opt t.conns id with
-      | None -> () (* client hung up mid-request: drop the response *)
-      | Some c ->
-          log t.cfg "conn %d: response ready (%d bytes)" c.id
-            (String.length response);
-          c.busy <- false;
-          send_line c response)
-    pending
+(* Advance, then opportunistically flush (short responses usually fit
+   the socket buffer, saving a select round-trip) — and if that flush
+   drained the response with more pipelined lines buffered, go again: no
+   fd event will ever fire for bytes already in [inbuf], so stopping
+   here would stall the connection forever. Terminates because each
+   iteration past the first consumes a buffered line. *)
+let rec pump t (c : conn) =
+  if live t c then begin
+    advance t c;
+    if Bytes.length c.outbuf > c.outpos then begin
+      handle_write t c;
+      if live t c && Bytes.length c.outbuf = 0 && c.in_lines > 0 then pump t c
+    end
+  end
+
+(* A request must never take its domain down. *)
+let run_request t (a : Protocol.analyze) =
+  try run_analyze t.cfg t.spool a
+  with e ->
+    Protocol.analyze_response
+      ~name:
+        (Option.value ~default:"<inline>"
+           (match a.Protocol.a_path with Some _ as p -> p | None -> a.Protocol.a_file))
+      (Error (Fault.of_exn e))
+
+(* Back under the lock with [c]'s response: write it now and pump the
+   connection's pipelined lines. The poller learns from a wake-up what
+   its select sets miss: bytes left unsent here, or (in [drop]) a
+   connection to close. *)
+let complete t (c : conn) response =
+  t.inflight <- t.inflight - 1;
+  c.busy <- false;
+  (* a client that hung up mid-request is gone: drop the response *)
+  if live t c then begin
+    log t.cfg "conn %d: response ready (%d bytes)" c.id (String.length response);
+    send_line c response;
+    pump t c;
+    if live t c && not c.busy then
+      if Bytes.length c.outbuf > c.outpos then (if t.polling then wake t)
+      else if t.draining then drop t c
+  end
 
 let drain_wake_pipe t =
   let buf = Bytes.create 64 in
@@ -361,9 +397,88 @@ let accept_all t =
   in
   loop ()
 
-let conn_list t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
+(* In accept order, so that within one round an earlier connection's
+   request is dispatched first. *)
+let conn_list t =
+  List.sort
+    (fun (a : conn) (b : conn) -> Int.compare a.id b.id)
+    (Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [])
 
 (* -- the loop ------------------------------------------------------------- *)
+
+let finished t = t.draining && Hashtbl.length t.conns = 0 && t.inflight = 0
+
+let stop t =
+  t.stopped <- true;
+  Condition.broadcast t.idle;
+  if t.polling then wake t
+
+(* One round as the poller: entered with the lock held and nobody else
+   polling; select runs with the lock released. *)
+let poll t =
+  if Atomic.get t.stop_requested && not t.draining then begin
+    log t.cfg "signal received, draining";
+    t.draining <- true
+  end;
+  if t.draining && t.listening then begin
+    t.listening <- false;
+    close_fd t.listen_fd
+  end;
+  (* when draining, idle connections go away now; busy or unflushed
+     ones finish first — that is the graceful part *)
+  if t.draining then
+    List.iter
+      (fun (c : conn) -> if (not c.busy) && Bytes.length c.outbuf = 0 then drop t c)
+      (conn_list t);
+  if not (finished t) then begin
+    let conns = conn_list t in
+    let reads =
+      (t.wake_r :: (if t.listening then [ t.listen_fd ] else []))
+      @ List.map (fun (c : conn) -> c.fd) conns
+    in
+    let writes =
+      List.filter_map
+        (fun (c : conn) -> if Bytes.length c.outbuf > c.outpos then Some c.fd else None)
+        conns
+    in
+    t.polling <- true;
+    Mutex.unlock t.m;
+    let ready = try Ok (Unix.select reads writes [] (-1.0)) with e -> Error e in
+    Mutex.lock t.m;
+    t.polling <- false;
+    List.iter close_fd t.doomed;
+    t.doomed <- [];
+    match ready with
+    | Error (Unix.Unix_error (Unix.EINTR, _, _)) -> ()
+    | Error e -> raise e
+    | Ok (readable, writable, _) ->
+        if List.mem t.wake_r readable then drain_wake_pipe t;
+        if t.listening && List.mem t.listen_fd readable then accept_all t;
+        List.iter
+          (fun (c : conn) -> if List.mem c.fd readable && live t c then handle_read t c)
+          conns;
+        List.iter
+          (fun (c : conn) -> if List.mem c.fd writable && live t c then handle_write t c)
+          conns;
+        List.iter (pump t) conns
+  end
+
+(* What every domain runs, with the lock held. *)
+let rec serve t =
+  if t.stopped then ()
+  else if finished t then stop t
+  else begin
+    (match Queue.take_opt t.requests with
+    | Some (c, a) ->
+        (* hand the poller's role to a waiting domain *)
+        if not t.polling then Condition.signal t.idle;
+        Mutex.unlock t.m;
+        let response = run_request t a in
+        Mutex.lock t.m;
+        complete t c response
+    | None -> if t.polling then Condition.wait t.idle t.m else poll t);
+    serve t
+  end
 
 let bind_listen = function
   | `Unix path ->
@@ -412,29 +527,33 @@ let run ?(config = default_config) listen =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
-  (* supervised worker processes spawn before the domain pool exists:
+  let jobs = match config.jobs with Some j -> max 1 j | None -> Parallel.default_jobs () in
+  (* supervised worker processes spawn before the other domains exist:
      fewer inherited threads, and the exec discipline keeps later
      respawns safe from any domain *)
   let spool =
-    if config.supervise then
-      Some (Supervise.create ?jobs:config.jobs ?heartbeat:config.heartbeat ())
+    if config.supervise then Some (Supervise.create ~jobs ?heartbeat:config.heartbeat ())
     else None
   in
   let t =
     {
       cfg = config;
-      pool = Parallel.Pool.create ?jobs:config.jobs ();
       spool;
       listen_fd;
       sock_path;
       wake_r;
       wake_w;
+      m = Mutex.create ();
+      idle = Condition.create ();
       conns = Hashtbl.create 16;
-      completions = Queue.create ();
-      cm = Mutex.create ();
+      requests = Queue.create ();
+      doomed = [];
+      polling = false;
+      listening = true;
       next_id = 0;
       inflight = 0;
       draining = false;
+      stopped = false;
       stop_requested = Atomic.make false;
     }
   in
@@ -447,90 +566,25 @@ let run ?(config = default_config) listen =
     Sys.set_signal Sys.sigterm (Sys.Signal_handle handler);
     Sys.set_signal Sys.sigint (Sys.Signal_handle handler)
   end;
-  log config "listening (%d worker domain%s)"
-    (Parallel.Pool.jobs t.pool)
-    (if Parallel.Pool.jobs t.pool = 1 then "" else "s");
-  let listening = ref true in
-  let finished () =
-    t.draining && Hashtbl.length t.conns = 0 && t.inflight = 0
+  log config "listening (%d domain%s)" jobs (if jobs = 1 then "" else "s");
+  (* a domain that dies of a bug stops the others rather than leave
+     them waiting; its exception resurfaces at its join *)
+  let loop () =
+    Mutex.lock t.m;
+    Fun.protect
+      ~finally:(fun () ->
+        stop t;
+        Mutex.unlock t.m)
+      (fun () -> serve t)
   in
-  while not (finished ()) do
-    if Atomic.get t.stop_requested && not t.draining then begin
-      log config "signal received, draining";
-      t.draining <- true
-    end;
-    if t.draining && !listening then begin
-      listening := false;
-      try Unix.close t.listen_fd with Unix.Unix_error _ -> ()
-    end;
-    (* when draining, idle connections go away now; busy or unflushed
-       ones finish first — that is the graceful part *)
-    if t.draining then
-      List.iter
-        (fun (c : conn) ->
-          if (not c.busy) && Bytes.length c.outbuf = 0 then close_conn t c)
-        (conn_list t);
-    if not (finished ()) then begin
-      let conns = conn_list t in
-      let reads =
-        (t.wake_r :: (if !listening then [ t.listen_fd ] else []))
-        @ List.map (fun (c : conn) -> c.fd) conns
-      in
-      let writes =
-        List.filter_map
-          (fun (c : conn) ->
-            if Bytes.length c.outbuf > c.outpos then Some c.fd else None)
-          conns
-      in
-      match Unix.select reads writes [] (-1.0) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | readable, writable, _ ->
-          if List.mem t.wake_r readable then drain_wake_pipe t;
-          drain_completions t;
-          if !listening && List.mem t.listen_fd readable then accept_all t;
-          List.iter
-            (fun (c : conn) ->
-              if List.mem c.fd readable && Hashtbl.mem t.conns c.id then
-                handle_read t c)
-            conns;
-          List.iter
-            (fun (c : conn) ->
-              if List.mem c.fd writable && Hashtbl.mem t.conns c.id then
-                handle_write t c)
-            conns;
-          List.iter
-            (fun (c : conn) ->
-              (* advance, then opportunistically flush (short responses
-                 usually fit the socket buffer, saving a select
-                 round-trip) — and if that flush drained the response
-                 with more pipelined lines buffered, go again: no fd
-                 event will ever fire for bytes already in [inbuf], so
-                 stopping here would stall the connection forever.
-                 Terminates because each iteration past the first
-                 consumes a buffered line. *)
-              let rec pump () =
-                if Hashtbl.mem t.conns c.id then begin
-                  advance t c;
-                  if Bytes.length c.outbuf > c.outpos then begin
-                    handle_write t c;
-                    if
-                      Hashtbl.mem t.conns c.id
-                      && Bytes.length c.outbuf = 0
-                      && c.in_lines > 0
-                    then pump ()
-                  end
-                end
-              in
-              pump ())
-            conns
-    end
-  done;
-  log config "drained, shutting down workers";
-  Parallel.Pool.shutdown t.pool;
+  let others = List.init (jobs - 1) (fun _ -> Domain.spawn loop) in
+  loop ();
+  List.iter Domain.join others;
+  log config "drained, shutting down";
   Option.iter Supervise.shutdown t.spool;
-  if !listening then (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
+  if t.listening then close_fd t.listen_fd;
+  close_fd t.wake_r;
+  close_fd t.wake_w;
   (match sock_path with
   | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
   | None -> ());

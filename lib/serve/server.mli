@@ -3,16 +3,22 @@
     One process keeps the expensive state warm — the framework model
     (the builtins program), the interned symbol tables, the on-disk
     analysis cache — and serves analyze requests over a Unix or TCP
-    socket using the newline-JSON protocol of {!Protocol}. Analyses run
-    on a persistent {!Nadroid_core.Parallel.Pool}; the accept/IO loop
-    never analyzes, so the daemon stays responsive under load.
+    socket using the newline-JSON protocol of {!Protocol}. It runs on
+    exactly [jobs] domains (the caller plus [jobs - 1] spawned ones)
+    that take turns: a domain with a queued request analyses it, one
+    domain at a time polls the sockets, and the rest wait. A domain
+    that finishes a request writes the reply itself. So while a domain
+    is free, it polls; but while every domain is analysing, nobody reads
+    the sockets: a ping, a new connection or a [SIGTERM] then waits for
+    the first analysis to finish. [jobs = 1] is one domain that
+    alternates between polling and analysing.
 
     Robustness contract: [SIGPIPE] is ignored and every read/write
     handles [EINTR], [EAGAIN] and partial transfers, so a client that
     disconnects mid-request (or mid-response) costs at most its own
-    connection — never a worker, never the daemon. Per-request
+    connection — never a domain, never the daemon. Per-request
     deadlines ride the pipeline's in-flight cancellation: an expired
-    request degrades soundly or returns a budget fault, and the worker
+    request degrades soundly or returns a budget fault, and the domain
     that ran it picks up the next request untouched. *)
 
 type listen = [ `Unix of string | `Tcp of string * int ]
@@ -20,7 +26,9 @@ type listen = [ `Unix of string | `Tcp of string * int ]
     again on exit) or a TCP host/port. *)
 
 type config = {
-  jobs : int option;  (** worker domains (default: all cores) *)
+  jobs : int option;
+      (** domains that poll and analyse, counting the caller (default:
+          all cores) *)
   cache_dir : string;  (** analysis-cache directory for [cache] requests *)
   cache_max_bytes : int option;  (** LRU ceiling applied after stores *)
   default_deadline : float option;
@@ -44,5 +52,5 @@ val default_config : config
 val run : ?config:config -> listen -> unit
 (** Serve until a [shutdown] request (or [SIGTERM]/[SIGINT] when
     installed) starts the graceful drain: stop accepting, let in-flight
-    analyses finish and their responses flush, then join the workers and
-    return. Raises [Unix.Unix_error] if the socket cannot be bound. *)
+    and queued analyses finish and their responses flush, then join the
+    spawned domains and return. Raises [Unix.Unix_error] if the socket cannot be bound. *)

@@ -137,32 +137,49 @@ if grep -rn 'Marshal\.' lib bin bench --include='*.ml' \
   exit 1
 fi
 
-# 12. Serve daemon smoke: boot, answer a request batch byte-identically
-#     to the cold CLI, drain on shutdown, exit 0.
+# 12. Serve daemon smoke, under concurrency: two background clients,
+#     three requests each, must read exactly what the cold CLI prints,
+#     against the default daemon and against --jobs 1 (one domain that
+#     takes turns polling and analysing); each daemon drains on shutdown
+#     and exits 0.
+serve_dir="_nadroid_cache/ci-serve.$$"
 serve_sock="/tmp/nadroid-ci.$$.sock"
-serve_src="_nadroid_cache/ci-serve.$$.mand"
-rm -f "$serve_sock"
+mkdir -p "$serve_dir"
 dune build bin/nadroid.exe
-./_build/default/bin/nadroid.exe corpus ConnectBot > "$serve_src"
-./_build/default/bin/nadroid.exe serve --socket "$serve_sock" --quiet &
-serve_pid=$!
-cold=$(./_build/default/bin/nadroid.exe analyze --json "$serve_src")
-warm=$(./_build/default/bin/nadroid.exe request --socket "$serve_sock" \
-  "$serve_src" "$serve_src" "$serve_src")
-if [ "$warm" != "$cold
-$cold
-$cold" ]; then
-  echo "ci: daemon responses differ from cold analyze --json" >&2
-  kill "$serve_pid" 2>/dev/null || true
-  exit 1
-fi
-./_build/default/bin/nadroid.exe request --socket "$serve_sock" --shutdown \
-  > /dev/null
-if ! wait "$serve_pid"; then
-  echo "ci: serve daemon did not exit 0 on graceful shutdown" >&2
-  exit 1
-fi
-rm -f "$serve_src" "$serve_sock"
+for app in ConnectBot ToDoList Zxing; do
+  ./_build/default/bin/nadroid.exe corpus "$app" > "$serve_dir/$app.mand"
+done
+serve_a="$serve_dir/ConnectBot.mand $serve_dir/ToDoList.mand $serve_dir/Zxing.mand"
+serve_b="$serve_dir/Zxing.mand $serve_dir/ConnectBot.mand $serve_dir/ToDoList.mand"
+for f in $serve_a; do ./_build/default/bin/nadroid.exe analyze --json "$f"; done \
+  > "$serve_dir/cold_a"
+for f in $serve_b; do ./_build/default/bin/nadroid.exe analyze --json "$f"; done \
+  > "$serve_dir/cold_b"
+for serve_jobs in "" "--jobs 1"; do
+  rm -f "$serve_sock"
+  ./_build/default/bin/nadroid.exe serve --socket "$serve_sock" --quiet $serve_jobs &
+  serve_pid=$!
+  ./_build/default/bin/nadroid.exe request --socket "$serve_sock" $serve_a \
+    > "$serve_dir/warm_a" &
+  client_a=$!
+  ./_build/default/bin/nadroid.exe request --socket "$serve_sock" $serve_b \
+    > "$serve_dir/warm_b" &
+  client_b=$!
+  if ! wait "$client_a" || ! wait "$client_b" \
+    || ! cmp -s "$serve_dir/cold_a" "$serve_dir/warm_a" \
+    || ! cmp -s "$serve_dir/cold_b" "$serve_dir/warm_b"; then
+    echo "ci: daemon (${serve_jobs:-default jobs}) responses differ from cold analyze --json" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+  fi
+  ./_build/default/bin/nadroid.exe request --socket "$serve_sock" --shutdown \
+    > /dev/null
+  if ! wait "$serve_pid"; then
+    echo "ci: serve daemon (${serve_jobs:-default jobs}) did not exit 0 on graceful shutdown" >&2
+    exit 1
+  fi
+done
+rm -rf "$serve_dir" "$serve_sock"
 
 # 13. Crash-survival gate: (a) a batch SIGKILLed mid-run leaves a
 #     journal whose --resume rerun exits 0 with output byte-identical

@@ -263,44 +263,6 @@ let parallel_tests =
           "the exception stays in slot 13, every other slot completes"
           (List.init 40 (fun i -> if i = 13 then Error "Stdlib.Exit" else Ok i))
           (map_result ~jobs:4 (fun x -> if x = 13 then raise Exit else x) (List.init 40 Fun.id)));
-    Alcotest.test_case "persistent pool: submit/await over many batches" `Quick (fun () ->
-        let pool = Parallel.Pool.create ~jobs:3 () in
-        (* several waves through the same workers — the daemon's life *)
-        for wave = 0 to 4 do
-          let futs =
-            List.init 50 (fun i -> Parallel.Pool.submit pool (fun () -> (wave * 1000) + (i * i)))
-          in
-          List.iteri
-            (fun i fut ->
-              match Parallel.Pool.await fut with
-              | Ok v -> Alcotest.(check int) "value" ((wave * 1000) + (i * i)) v
-              | Error e -> raise e)
-            futs
-        done;
-        Parallel.Pool.shutdown pool);
-    Alcotest.test_case "persistent pool: a task exception stays in its future" `Quick (fun () ->
-        let pool = Parallel.Pool.create ~jobs:2 () in
-        let bad = Parallel.Pool.submit pool (fun () -> raise Exit) in
-        let good = Parallel.Pool.submit pool (fun () -> 41 + 1) in
-        (match Parallel.Pool.await bad with
-        | Error Exit -> ()
-        | Ok _ | Error _ -> Alcotest.fail "expected Error Exit");
-        (* the worker that ran the raising task still serves the next one *)
-        Alcotest.(check int) "worker survives" 42
-          (match Parallel.Pool.await good with Ok v -> v | Error e -> raise e);
-        Parallel.Pool.shutdown pool);
-    Alcotest.test_case "persistent pool: graceful shutdown drains the queue" `Quick (fun () ->
-        let pool = Parallel.Pool.create ~jobs:1 () in
-        let ran = Atomic.make 0 in
-        let futs =
-          List.init 20 (fun _ -> Parallel.Pool.submit pool (fun () -> Atomic.incr ran))
-        in
-        Parallel.Pool.shutdown pool;
-        Alcotest.(check int) "every queued task ran before the join" 20 (Atomic.get ran);
-        List.iter (fun f -> ignore (Parallel.Pool.await f)) futs;
-        Alcotest.check_raises "submit after shutdown rejected"
-          (Invalid_argument "Parallel.Pool.submit: pool is shut down") (fun () ->
-            ignore (Parallel.Pool.submit pool (fun () -> ()))));
   ]
 
 let metrics_tests =

@@ -356,6 +356,59 @@ let sema_tests =
         let s = sema_ok "class C { }" in
         Alcotest.(check bool) "Activity is builtin" true
           (Sema.get_class s "Activity").Sema.rc_builtin);
+    Alcotest.test_case "nested shadowing gets #N unique names" `Quick (fun () ->
+        let s =
+          sema_ok
+            "class C { method void m(int x) { var int y = 1; { var int y = 2; { var int x = 3; \
+             y = x; } var int w = y; } var int w = y; { var int y = 4; } } }"
+        in
+        (* declarations, stores and reads of locals, in program order *)
+        let rec expr acc (e : Sema.rexpr) =
+          match e.Sema.re with
+          | Sema.Rlocal u -> ("use " ^ u) :: acc
+          | Sema.Rbinop (_, a, b) -> expr (expr acc a) b
+          | _ -> acc
+        and stmt acc (st : Sema.rstmt) =
+          match st.Sema.rs with
+          | Sema.Rdecl (_, u, init) ->
+              ("decl " ^ u) :: Option.fold ~none:acc ~some:(expr acc) init
+          | Sema.Rset_local (u, rhs) -> ("set " ^ u) :: expr acc rhs
+          | Sema.Rblock b -> List.fold_left stmt acc b
+          | _ -> acc
+        in
+        let m = List.hd (Sema.get_class s "C").Sema.rc_methods in
+        Alcotest.(check (list string))
+          "a shadowing declaration is suffixed with its declaration count; a closed \
+           scope's names are free again"
+          [
+            "decl y"; "decl y#3"; "decl x#4"; "use x#4"; "set y#3"; "use y#3"; "decl w";
+            "use y"; "decl w"; "decl y#7";
+          ]
+          (List.rev (List.fold_left stmt [] m.Sema.rm_body));
+        Alcotest.(check bool) "a redeclaration after shadowing, in the same scope, fails" true
+          (sema_fails
+             "class C { method void m() { var int y = 1; { var int y = 2; var int y = 3; } } }");
+        Alcotest.(check bool) "a duplicate parameter fails" true
+          (sema_fails "class C { method void m(int x, int x) { } }"));
+    Alcotest.test_case "10,000 locals resolve in linear time" `Quick (fun () ->
+        let n = 10_000 in
+        let b = Buffer.create (n * 40) in
+        Buffer.add_string b "class C { method void m() {";
+        for i = 0 to n - 1 do
+          Printf.bprintf b " var int v%d = %d;" i i
+        done;
+        for i = 0 to n - 1 do
+          Printf.bprintf b " v%d = v%d + 1;" i (n - 1 - i)
+        done;
+        Buffer.add_string b " } }";
+        let ast = Parser.parse_program ~file:"t" (Buffer.contents b) in
+        let t0 = Nadroid_clock.Clock.now () in
+        let s = Sema.analyze ast in
+        let took = Nadroid_clock.Clock.now () -. t0 in
+        Alcotest.(check int) "every statement resolved" (2 * n)
+          (List.length (List.hd (Sema.get_class s "C").Sema.rc_methods).Sema.rm_body);
+        Alcotest.(check bool) (Printf.sprintf "under 300 ms (took %.0f ms)" (took *. 1000.)) true
+          (took < 0.3));
   ]
 
 let suite =

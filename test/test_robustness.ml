@@ -143,14 +143,17 @@ let degrade_ladder_at_derived_budget () =
         (List.mem k (keys t)))
     (keys full)
 
+(* With the fault plan [spec] armed in this process. *)
+let with_faults spec f =
+  match Faultinject.arm_spec spec with
+  | Ok () -> Fun.protect ~finally:Faultinject.disarm f
+  | Error e -> Alcotest.failf "arming %s: %s" spec e
+
 (* A deadlined analysis under this plan sleeps about 1 ms per warning in
    its MHB filter, so the adversarial Synth app (s^2 = 1,600 warnings at
    size 40) spends seconds in its filter phase on any host, and a
    deadline of a fraction of a second expires inside it. *)
-let with_stalled_filters f =
-  match Faultinject.arm_spec "filter=MHB:stall" with
-  | Ok () -> Fun.protect ~finally:Faultinject.disarm f
-  | Error e -> Alcotest.failf "arming the filter stall: %s" e
+let with_stalled_filters f = with_faults "filter=MHB:stall" f
 
 (* In-flight deadline cancellation: with its filters stalled, the
    adversarial Synth app spends almost all its time inside the filter
