@@ -397,12 +397,7 @@ let accept_all t =
   in
   loop ()
 
-(* In accept order, so that within one round an earlier connection's
-   request is dispatched first. *)
-let conn_list t =
-  List.sort
-    (fun (a : conn) (b : conn) -> Int.compare a.id b.id)
-    (Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [])
+let conn_list t = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns []
 
 (* -- the loop ------------------------------------------------------------- *)
 
@@ -412,6 +407,14 @@ let stop t =
   t.stopped <- true;
   Condition.broadcast t.idle;
   if t.polling then wake t
+
+(* A signal lands on one thread, usually the main domain's. If that
+   domain is waiting on [idle], the runtime only records the signal: its
+   handler runs once some domain returns from a blocking call, and a
+   select that the signal did not interrupt may never return. So with
+   handlers installed the poller leaves select at least this often
+   (seconds). *)
+let signal_tick = 0.1
 
 (* One round as the poller: entered with the lock held and nobody else
    polling; select runs with the lock released. *)
@@ -443,7 +446,8 @@ let poll t =
     in
     t.polling <- true;
     Mutex.unlock t.m;
-    let ready = try Ok (Unix.select reads writes [] (-1.0)) with e -> Error e in
+    let timeout = if t.cfg.install_signals then signal_tick else -1.0 in
+    let ready = try Ok (Unix.select reads writes [] timeout) with e -> Error e in
     Mutex.lock t.m;
     t.polling <- false;
     List.iter close_fd t.doomed;

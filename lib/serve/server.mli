@@ -36,7 +36,10 @@ type config = {
   quiet : bool;  (** suppress the per-request stderr log *)
   install_signals : bool;
       (** install [SIGTERM]/[SIGINT] handlers that trigger the graceful
-          drain; disable when embedding the server in a test process *)
+          drain; disable when embedding the server in a test process.
+          With them installed the polling domain leaves select(2) every
+          0.1 s, so that a signal which landed on a waiting domain is
+          handled. *)
   supervise : bool;
       (** run each analysis in a supervised child process
           ({!Nadroid_core.Supervise}): a request that segfaults, is

@@ -665,19 +665,21 @@ let nadroid_exe =
     (Filename.concat (Filename.dirname Sys.executable_name) "..")
     (Filename.concat "bin" "nadroid.exe")
 
-(* Run the real binary with a clean injection environment plus [faults];
-   returns the exit status, stdout and stderr. *)
-let run_cli_err ?(faults = "") args =
+(* Our environment with a clean injection environment plus [faults]. *)
+let cli_env faults =
   let keep e =
     not
       (String.starts_with ~prefix:(Faultinject.env_var ^ "=") e
       || String.starts_with ~prefix:(Supervise.env_var ^ "=") e)
   in
-  let env =
-    Array.of_list
-      (List.filter keep (Array.to_list (Unix.environment ()))
-      @ (if faults = "" then [] else [ Faultinject.env_var ^ "=" ^ faults ]))
-  in
+  Array.of_list
+    (List.filter keep (Array.to_list (Unix.environment ()))
+    @ (if faults = "" then [] else [ Faultinject.env_var ^ "=" ^ faults ]))
+
+(* Run the real binary with [cli_env faults]; returns the exit status,
+   stdout and stderr. *)
+let run_cli_err ?(faults = "") args =
+  let env = cli_env faults in
   let out = Filename.temp_file "nadroid-crash" ".out" in
   let err = Filename.temp_file "nadroid-crash" ".err" in
   let out_fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
@@ -966,6 +968,67 @@ let oversubscribed_jobs_are_clamped () =
       Alcotest.(check int) "one note" 1
         (List.length (List.filter (fun l -> is_infix note l) (String.split_on_char '\n' err_many))))
 
+(* SIGTERM to an idle `serve --jobs 2`. Each analyze request moves the
+   poller's role to the other domain, so after one request or after two
+   the main domain, which the kernel prefers for a signal sent to the
+   process, waits on a condition variable that the signal does not end,
+   while the other domain sits in select. Which domain polls first, and
+   whether a quick request moves the role at all, are races, so three
+   daemons take one request and three take two. Each must drain, exit 0
+   and unlink its socket within a few seconds. *)
+let serve_drains_on_sigterm () =
+  let a = small_app () in
+  let want =
+    Protocol.analyze_response ~name:a.Corpus.name
+      (Fault.wrap (fun () ->
+           Cache.entry_of_result (Pipeline.analyze ~file:a.Corpus.name a.Corpus.source)))
+  in
+  List.iter
+    (fun requests ->
+      let sock = sock_path (Printf.sprintf "sigterm-%d" requests) in
+      (try Unix.unlink sock with Unix.Unix_error _ -> ());
+      let pid =
+        Unix.create_process_env nadroid_exe
+          [| nadroid_exe; "serve"; "--socket"; sock; "--jobs"; "2"; "--quiet" |]
+          (cli_env "") Unix.stdin Unix.stdout Unix.stderr
+      in
+      let reaped = ref false in
+      Fun.protect
+        ~finally:(fun () ->
+          if not !reaped then begin
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)
+          end)
+        (fun () ->
+          let c = Client.connect (`Unix sock) in
+          for i = 1 to requests do
+            Alcotest.(check string) (Printf.sprintf "reply %d of %d" i requests) want
+              (Client.request c (inline_request ~name:a.Corpus.name a.Corpus.source))
+          done;
+          Client.close c;
+          (* let the poller take the hang-up and go back into select: the
+             signal must find the daemon idle *)
+          Unix.sleepf 0.05;
+          Unix.kill pid Sys.sigterm;
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          let rec wait () =
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ when Unix.gettimeofday () < deadline ->
+                Unix.sleepf 0.02;
+                wait ()
+            | 0, _ ->
+                Alcotest.failf "after %d request(s): still running 5 s after SIGTERM"
+                  requests
+            | _, status ->
+                reaped := true;
+                status
+          in
+          (match wait () with
+          | Unix.WEXITED 0 -> ()
+          | s -> Alcotest.failf "after %d request(s): %s" requests (Supervise.status_string s));
+          Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock)))
+    [ 1; 2; 1; 2; 1; 2 ]
+
 (* -- blast-radius fuzzing ------------------------------------------------ *)
 
 let faultfuzz_smoke () =
@@ -1068,6 +1131,8 @@ let suite =
           (timings_on_cache_hit_say_so ~supervise:true);
         Alcotest.test_case "--jobs above the core count is clamped, stdout unchanged" `Quick
           oversubscribed_jobs_are_clamped;
+        Alcotest.test_case "serve --jobs 2 drains on SIGTERM whichever domain polls" `Quick
+          serve_drains_on_sigterm;
       ] );
     ( "crash-fuzz",
       [ Alcotest.test_case "seeded fuzz over all seams: 0 escapes" `Quick faultfuzz_smoke ]
